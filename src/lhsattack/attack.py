@@ -316,8 +316,9 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     """Estimate the boundary normal from signed probes around ``x``.
 
     Draws ``n_samples`` unit noise vectors with the requested sampler,
-    queries the oracle at clip(x + probe_step * noise_i) in sample order
-    (exactly ``n_samples`` queries), and averages decision_i * noise_i.
+    queries the oracle at clip(x + probe_step * noise_i) in sample order,
+    as one metered batch (exactly ``n_samples`` queries), and averages
+    decision_i * noise_i.
     When every decision agrees the average is simply +/- the mean noise
     vector, which still points off the boundary on the correct side.
 
@@ -346,9 +347,7 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
         except DegenerateSampleError:
             continue
         probes = clip(x[None, :] + probe_step * batch.rows, clip_low, clip_high)
-        decisions = np.empty(n_samples, dtype=np.float64)
-        for i in range(n_samples):
-            decisions[i] = oracle.decide(probes[i], PHASE_GRADIENT)
+        decisions = oracle.decide_batch(probes, PHASE_GRADIENT).astype(np.float64)
         raw_mean = (decisions @ batch.rows) / n_samples
         norm = float(np.linalg.norm(raw_mean))
         if norm == 0.0:

@@ -2,9 +2,12 @@
 
 An oracle answers a single question about a point: is it adversarial
 (+1) or not (-1). Nothing else — no scores, no gradients — crosses the
-query interface. Every answer is metered through :func:`decide`, which
-increments a :class:`QueryLedger` exactly once per call; there is no other
-path to an oracle anywhere in the package, so ledger totals are exact.
+query interface. Every answer is metered, through one of two entry
+points: :func:`decide` (or :meth:`MeteredOracle.decide`) for a single
+point, and :meth:`MeteredOracle.decide_batch` for the rows of a matrix,
+which the attack uses for each gradient estimate's probes. Both charge a
+:class:`QueryLedger` exactly one query per point, so ledger totals are
+exact, and both give the same answer for the same point.
 
 Four oracle kinds are provided: two analytic geometries (halfspace,
 hypersphere) whose true boundary normals are known in closed form, a small
@@ -94,13 +97,13 @@ class QueryLedger:
     def total_queries(self) -> int:
         return self._total
 
-    def record(self, phase: str) -> None:
-        """Charge one query to ``phase``."""
+    def record(self, phase: str, count: int = 1) -> None:
+        """Charge ``count`` queries to ``phase``."""
         if phase not in self.per_phase:
             raise ValueError(f"unknown query phase {phase!r}; expected one of {PHASES}")
         with self._lock:
-            self.per_phase[phase] += 1
-            self._total += 1
+            self.per_phase[phase] += count
+            self._total += count
 
     def snapshot(self) -> dict:
         """A consistent copy of the per-phase counts."""
@@ -115,7 +118,8 @@ class DecisionOracle:
     """Base class: a sign rule over points of a fixed dimension.
 
     Subclasses implement ``_decide(x) -> +1 | -1`` on a float64 vector of
-    length ``dim`` and must not be called directly — all access goes
+    length ``dim`` and may override ``_decide_batch(X)``, which must equal
+    ``_decide`` row by row. Neither is called directly — all access goes
     through :func:`decide` (or a :class:`MeteredOracle`) so that every
     query lands in a ledger.
     """
@@ -129,6 +133,10 @@ class DecisionOracle:
 
     def _decide(self, x: np.ndarray) -> int:
         raise NotImplementedError
+
+    def _decide_batch(self, X: np.ndarray) -> np.ndarray:
+        """Decisions for the rows of ``X`` (shape (n, dim)), as an int array."""
+        return np.array([self._decide(x) for x in X], dtype=np.int64)
 
     def decide(self, x, ledger: QueryLedger, phase: str) -> int:
         return decide(self, x, ledger, phase)
@@ -165,7 +173,7 @@ class MeteredOracle:
 
     The attack operations take one of these instead of a bare oracle so
     that budget enforcement lives in a single place: the cap is checked
-    *before* each call, and crossing it raises
+    *before* each query, and crossing it raises
     :class:`QueryBudgetExceededError` without spending the query.
     """
 
@@ -184,6 +192,51 @@ class MeteredOracle:
             raise QueryBudgetExceededError(
                 f"query budget of {self.max_queries} exhausted")
         return decide(self.oracle, x, self.ledger, phase)
+
+    def decide_batch(self, X, phase: str) -> np.ndarray:
+        """Decide every row of ``X`` in order, charging one query per row.
+
+        The result equals ``[self.decide(x, phase) for x in X]``, budget
+        included: when the cap falls inside the batch, only the rows that
+        fit are evaluated and charged, then
+        :class:`QueryBudgetExceededError` is raised. The charge is made
+        before evaluation, so a batch the oracle fails on is charged in
+        full — for an external oracle, every row was already sent.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(
+                f"batch has shape {X.shape}, oracle expects (n, {self.dim})")
+        fits = len(X)
+        if self.max_queries is not None:
+            fits = min(fits, max(self.max_queries - self.ledger.total_queries, 0))
+        self.ledger.record(phase, fits)
+        decisions = (self.oracle._decide_batch(X[:fits]) if fits
+                     else np.empty(0, dtype=np.int64))
+        if fits < len(X):
+            raise QueryBudgetExceededError(
+                f"query budget of {self.max_queries} exhausted")
+        return decisions
+
+
+# Rounding-error bounds for vectorized batch kernels, which must answer exactly
+# as ``_decide`` does. A GEMM and the GEMV it replaces sum in different orders
+# and can differ in the last ulp, which flips answers on the boundary.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny   # covers underflow in the products
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n*u / (1 - n*u): relative error bound of an n-term dot product."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+def _redecide(oracle, X, decisions, sure) -> np.ndarray:
+    """Re-decide with ``_decide`` every row not ``sure`` to match it."""
+    for i in np.flatnonzero(~sure):
+        decisions[i] = oracle._decide(X[i])
+    return decisions
 
 
 class HalfspaceOracle(DecisionOracle):
@@ -277,6 +330,33 @@ class MlpOracle(DecisionOracle):
         if self.mode == TARGETED:
             return 1 if top == self.target_class else -1
         return 1 if top != self.original_class else -1
+
+    def _decide_batch(self, X):
+        # One GEMM per layer. ``err`` bounds how far any score of either
+        # this or the one-row GEMV path can be from the exact value. A
+        # layer's rounding is at most gamma_{n+1} * (|W| @ |h| + |b|), and
+        # the previous layer's error passes through |W| (ReLU is
+        # 1-Lipschitz); both are taken in the max-norm over the whole
+        # batch, which costs no second GEMM.
+        H, err = X, 0.0
+        for layer in self.model.layers:
+            gamma = _gamma(layer.weight.shape[1] + 1)
+            err = np.linalg.norm(layer.weight, np.inf) * (
+                gamma * np.abs(H).max() + (1.0 + 2.0 * gamma) * err) \
+                + gamma * np.abs(layer.bias).max()
+            H = H @ layer.weight.T + layer.bias
+            if layer.activation == RELU:
+                H = np.maximum(H, 0.0)
+        top = np.argmax(H, axis=1)
+        ranked = np.sort(H, axis=1)
+        # A top score ahead of the runner-up by more than both paths' errors
+        # is the top score on both paths.
+        sure = ranked[:, -1] - ranked[:, -2] > 4.0 * err + _TINY
+        if self.mode == TARGETED:
+            decisions = np.where(top == self.target_class, 1, -1)
+        else:
+            decisions = np.where(top != self.original_class, 1, -1)
+        return _redecide(self, X, decisions, sure)
 
 
 def _as_point(x, dim: int) -> np.ndarray:
@@ -479,7 +559,9 @@ def format_floats(values) -> str:
     17 digits round-trip IEEE doubles exactly, so a peer that parses this
     line recovers bit-identical values.
     """
-    return " ".join(f"{float(v):.17g}" for v in values)
+    values = tuple(np.asarray(values, dtype=np.float64).tolist())
+    # One %-format call over the whole row is faster than one per value.
+    return " ".join(["%.17g"] * len(values)) % values
 
 
 def parse_floats(line: str, expected: int) -> np.ndarray:
@@ -506,14 +588,18 @@ class ExternalOracle(DecisionOracle):
     Protocol, all lines newline-terminated ASCII: the engine opens with
     ``HELLO m=<dim>`` and the peer answers ``OK``; thereafter each request
     is ``dim`` floats at 17 significant digits separated by spaces, and
-    each reply is ``+1`` or ``-1``. Requests are strictly serialized over
-    the single pipe pair; callers must not interleave.
+    each reply is ``+1`` or ``-1``, in request order. A batch is pipelined
+    over the single pipe pair: its request lines are written while earlier
+    replies are read, so the peer sees the same bytes as for one query at
+    a time, and the batch waits for the peer once rather than per row.
 
     The child is spawned lazily on the first query (or via :meth:`start`)
     and is reaped by :meth:`close`; the class doubles as a context
     manager. A reply slower than ``timeout`` seconds, a dead pipe, or an
     unlaunchable command raises :class:`OracleFailedError`; a reply that
-    is not ``+1``/``-1`` raises :class:`ProtocolError`.
+    is not ``+1``/``-1`` raises :class:`ProtocolError`. Either failure
+    kills the child and drops its unread output, so no stale reply can
+    answer a later query; the next query spawns a fresh child.
     """
 
     kind = "external"
@@ -529,9 +615,11 @@ class ExternalOracle(DecisionOracle):
         self._buf = b""
 
     def start(self) -> None:
-        """Spawn the child and complete the handshake."""
+        """Spawn the child and complete the handshake; respawn an exited one."""
         if self._proc is not None:
-            return
+            if self._proc.poll() is None:
+                return
+            self._stop(kill=True)
         try:
             self._proc = subprocess.Popen(
                 self.cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -541,18 +629,26 @@ class ExternalOracle(DecisionOracle):
                 f"could not launch oracle process {self.cmd!r}: {exc}") from exc
         os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
-        deadline = time.monotonic() + self.timeout
-        self._send(f"HELLO m={self.dim}\n", deadline)
-        reply = self._recv_line(deadline)
-        if reply != "OK":
-            raise ProtocolError(f"handshake reply was {reply!r}, expected 'OK'")
+        try:
+            [reply] = self._exchange(f"HELLO m={self.dim}\n".encode("ascii"), 1)
+            if reply != "OK":
+                raise ProtocolError(f"handshake reply was {reply!r}, expected 'OK'")
+        except OracleFailedError:
+            self._stop(kill=True)
+            raise
 
     def close(self) -> None:
         """Close the pipes and reap the child (kill it if it lingers)."""
+        self._stop(kill=False)
+
+    def _stop(self, kill: bool) -> None:
+        """Reap the child; ``kill`` it first when its state is unknown."""
         proc, self._proc = self._proc, None
         self._buf = b""
         if proc is None:
             return
+        if kill:
+            proc.kill()
         for pipe in (proc.stdin, proc.stdout):
             try:
                 pipe.close()
@@ -572,59 +668,73 @@ class ExternalOracle(DecisionOracle):
         self.close()
 
     def _decide(self, x):
+        return int(self._decide_batch(x[None, :])[0])
+
+    def _decide_batch(self, X):
         self.start()
-        deadline = time.monotonic() + self.timeout
-        self._send(format_floats(x) + "\n", deadline)
-        reply = self._recv_line(deadline)
-        if reply == "+1":
-            return 1
-        if reply == "-1":
-            return -1
-        raise ProtocolError(f"oracle replied {reply!r}, expected '+1' or '-1'")
+        request = "".join(format_floats(x) + "\n" for x in X).encode("ascii")
+        try:
+            replies = self._exchange(request, len(X))
+            for reply in replies:
+                if reply not in ("+1", "-1"):
+                    raise ProtocolError(
+                        f"oracle replied {reply!r}, expected '+1' or '-1'")
+        except OracleFailedError:
+            # Replies to the rest of the batch may still be in flight.
+            self._stop(kill=True)
+            raise
+        return np.array([1 if r == "+1" else -1 for r in replies], dtype=np.int64)
 
     def _dead(self, what):
         rc = self._proc.poll()
         detail = f"exited with status {rc}" if rc is not None else "closed the pipe"
         return OracleFailedError(f"oracle process {detail} while {what}")
 
-    def _send(self, text: str, deadline: float) -> None:
-        data = text.encode("ascii")
-        fd = self._proc.stdin.fileno()
-        sent = 0
-        while sent < len(data):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise OracleFailedError(
-                    f"oracle did not accept the request within {self.timeout} s")
-            _, ready, _ = select.select([], [fd], [], remaining)
-            if not ready:
-                continue
-            try:
-                sent += os.write(fd, data[sent:])
-            except BlockingIOError:
-                continue
-            except (BrokenPipeError, OSError):
-                raise self._dead("receiving a request") from None
+    def _exchange(self, data: bytes, count: int) -> list:
+        """Write ``data`` to the child and read ``count`` reply lines.
 
-    def _recv_line(self, deadline: float) -> str:
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buf:
+        Replies are read while the requests are still being written, so a
+        batch larger than the pipe buffers cannot deadlock. Each reply must
+        arrive within ``timeout`` seconds of the previous one (or of the
+        call).
+        """
+        data = memoryview(data)
+        out_fd, in_fd = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        lines: list = []
+        sent = 0
+        deadline = time.monotonic() + self.timeout
+        while sent < len(data) or len(lines) < count:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                what = "accept the request" if sent < len(data) else "reply"
                 raise OracleFailedError(
-                    f"oracle did not reply within {self.timeout} s")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
+                    f"oracle did not {what} within {self.timeout} s")
+            writing = [out_fd] if sent < len(data) else []
+            readable, writable, _ = select.select([in_fd], writing, [], remaining)
+            if writable:
+                try:
+                    sent += os.write(out_fd, data[sent:])
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    raise self._dead("receiving a request") from None
+            if not readable:
                 continue
             try:
-                chunk = os.read(fd, 65536)
+                chunk = os.read(in_fd, 65536)
             except BlockingIOError:
                 continue
             if not chunk:
                 raise self._dead("awaiting a reply")
             self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line.decode("ascii", errors="replace")
+            while len(lines) < count and b"\n" in self._buf:
+                line, self._buf = self._buf.split(b"\n", 1)
+                lines.append(line.decode("ascii", errors="replace"))
+                deadline = time.monotonic() + self.timeout
+        if self._buf:
+            raise ProtocolError(
+                f"oracle sent {self._buf[:40]!r} beyond the {count} replies requested")
+        return lines
 
 
 def serve_oracle(decision_fn, dim: int, infile=None, outfile=None) -> int:

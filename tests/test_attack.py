@@ -1,5 +1,6 @@
 """Tests for schedules, projection, gradient estimation, and the full walk."""
 
+import dataclasses
 import math
 import os
 
@@ -36,7 +37,9 @@ from lhsattack.oracles import (
     HalfspaceOracle,
     HypersphereOracle,
     MeteredOracle,
+    MlpOracle,
     QueryLedger,
+    load_mlp,
     true_gradient,
 )
 from lhsattack.rng import substream_seed
@@ -704,6 +707,53 @@ def test_run_attack_paired_sampler_comparison_on_halfspace():
     assert np.median(finals[LHS]) <= np.median(finals[SRS])
     # both walks actually approach the analytic optimum
     assert np.median(finals[LHS]) < 0.33
+
+
+def looped_decide_batch(self, X, phase):
+    """The reference for batched probes: one metered query per row."""
+    return np.array([self.decide(x, phase) for x in X], dtype=np.int64)
+
+
+def batch_reference_oracle(kind, mlp_fixture_path):
+    rng = np.random.default_rng(11)
+    if kind == "mlp":
+        original = rng.random(64)
+        return MlpOracle(load_mlp(mlp_fixture_path), original), original
+    if kind == "hypersphere":
+        return sphere_setup(dim=48, seed=12)
+    normal = rng.normal(size=32)
+    original = rng.random(32)
+    return HalfspaceOracle(normal, -float(normal @ original) - 0.2), original
+
+
+@pytest.mark.parametrize("kind", ["mlp", "hypersphere", "halfspace"])
+def test_run_attack_batched_probes_match_one_query_at_a_time(
+        kind, mlp_fixture_path, monkeypatch):
+    oracle, original = batch_reference_oracle(kind, mlp_fixture_path)
+
+    def run(cfg, looped):
+        with monkeypatch.context() as patch:
+            if looped:
+                patch.setattr(MeteredOracle, "decide_batch", looped_decide_batch)
+            return run_attack(oracle, original, cfg)
+
+    for seed in (0, 1, 2):
+        for sampler in (LHS, SRS):
+            cfg = AttackConfig(iterations=8, initial_samples=40, seed=seed,
+                               sampler_kind=sampler)
+            _, full = run(cfg, looped=True)
+            assert full.status == COMPLETED
+            # a cap that falls inside iteration 4's probe batch
+            cap = full.rows[3].queries + full.rows[4].n_samples // 2
+            for run_cfg in (cfg, dataclasses.replace(cfg, max_queries=cap)):
+                point_ref, ref = run(run_cfg, looped=True)
+                point, got = run(run_cfg, looped=False)
+                assert got.rows == ref.rows
+                assert got.status == ref.status
+                assert got.ledger.snapshot() == ref.ledger.snapshot()
+                assert np.array_equal(point, point_ref)
+            assert got.status == BUDGET_EXHAUSTED
+            assert got.ledger.total_queries == cap
 
 
 def test_attack_config_validation():

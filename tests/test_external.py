@@ -6,13 +6,23 @@ format itself rather than shared code.
 """
 
 import io
+import os
+import shlex
 import sys
 import time
 
 import numpy as np
 import pytest
 
+import lhsattack
+from lhsattack.attack import AttackConfig
 from lhsattack.errors import OracleFailedError, ProtocolError
+from lhsattack.harness import (
+    ExperimentConfig,
+    OracleSpecConfig,
+    PointsConfig,
+    run_experiment,
+)
 from lhsattack.oracles import (
     PHASE_GRADIENT,
     PHASE_INIT,
@@ -90,6 +100,46 @@ import sys, time
 time.sleep(30)
 """
 
+# argv[1] is a file that receives every request line verbatim
+RECORDER = """\
+import sys
+sys.stdin.readline()
+print("OK", flush=True)
+with open(sys.argv[1], "w") as log:
+    for line in iter(sys.stdin.readline, ""):
+        log.write(line)
+        log.flush()
+        print("+1", flush=True)
+"""
+
+# A halfspace oracle that fails once: the first child started (the one
+# that finds no marker file) misbehaves on its k-th query; every later
+# child answers with the package's own rule, bit for bit.
+# argv: src dir, marker file, fault (late|exit|garbage), k, normal, offset
+FLAKY_HALFSPACE = """\
+import os, sys, time
+src, marker, fault, k, normal, offset = sys.argv[1:7]
+sys.path.insert(0, src)
+import numpy as np
+from lhsattack.oracles import HalfspaceOracle, parse_floats
+oracle = HalfspaceOracle(np.array([float(t) for t in normal.split(",")]), float(offset))
+faulty = not os.path.exists(marker)
+open(marker, "a").close()
+sys.stdin.readline()
+print("OK", flush=True)
+for served, line in enumerate(iter(sys.stdin.readline, ""), start=1):
+    if faulty and served == int(k):
+        if fault == "exit":
+            sys.exit(3)
+        if fault == "late":
+            time.sleep(30)
+        if fault == "garbage":
+            print("banana", flush=True)
+            continue
+    x = parse_floats(line, oracle.dim)
+    print("+1" if oracle._decide(x) > 0 else "-1", flush=True)
+"""
+
 
 def stub(tmp_path, body, *args):
     path = tmp_path / "stub.py"
@@ -130,6 +180,49 @@ def test_halfspace_stub_matches_in_process_on_1000_points(tmp_path):
             assert (decide(external, x, ledger, PHASE_GRADIENT)
                     == decide(builtin, x, ledger, PHASE_GRADIENT))
     assert ledger.total_queries == 2000
+
+
+def test_batch_sends_the_same_bytes_as_single_queries(tmp_path):
+    X = np.random.default_rng(22).uniform(size=(40, 5))
+    batched, single = tmp_path / "batched.log", tmp_path / "single.log"
+    with ExternalOracle(stub(tmp_path, RECORDER, str(batched)), dim=5) as oracle:
+        m = MeteredOracle(oracle)
+        assert m.decide_batch(X, PHASE_GRADIENT).tolist() == [1] * 40
+        assert m.ledger.total_queries == 40
+    with ExternalOracle(stub(tmp_path, RECORDER, str(single)), dim=5) as oracle:
+        for x in X:
+            decide(oracle, x, QueryLedger(), PHASE_GRADIENT)
+    expected = "".join(format_floats(x) + "\n" for x in X).encode("ascii")
+    assert batched.read_bytes() == single.read_bytes() == expected
+
+
+def test_batch_matches_in_process_oracle(tmp_path):
+    rng = np.random.default_rng(23)
+    w = np.round(rng.normal(size=8), 6)
+    b = -0.35
+    cmd = stub(tmp_path, HALFSPACE_RULE, ",".join(repr(float(v)) for v in w), repr(b))
+    X = rng.uniform(size=(500, 8))
+    with ExternalOracle(cmd, dim=8) as external:
+        got = MeteredOracle(external).decide_batch(X, PHASE_GRADIENT)
+    assert got.tolist() == [decide(HalfspaceOracle(w, b), x, QueryLedger(), PHASE_GRADIENT)
+                            for x in X]
+
+
+def test_batch_larger_than_the_pipe_buffers(tmp_path):
+    # 40,000 replies are 120 kB, more than a pipe holds: the child blocks on
+    # its replies unless they are read while the requests are still written.
+    with ExternalOracle(stub(tmp_path, ALWAYS_PLUS), dim=1, timeout=20.0) as oracle:
+        got = MeteredOracle(oracle).decide_batch(np.full((40000, 1), 0.5), PHASE_GRADIENT)
+    assert got.shape == (40000,) and (got == 1).all()
+
+
+def test_exited_child_is_respawned(tmp_path):
+    with ExternalOracle(stub(tmp_path, ALWAYS_PLUS), dim=2) as oracle:
+        first = oracle._proc
+        first.kill()
+        first.wait()
+        assert decide(oracle, np.zeros(2), QueryLedger(), PHASE_INIT) == 1
+        assert oracle._proc is not first and oracle._proc.poll() is None
 
 
 def test_garbled_reply_raises_protocol_error(tmp_path):
@@ -199,6 +292,48 @@ def test_empty_command_rejected():
 
 
 # ---------------------------------------------------------------------------
+# A failed external oracle must not answer for later queries
+
+
+HALFSPACE_NORMAL = np.array([0.9, -0.4, 0.3, 0.8, -0.2, 0.5, 0.7, -0.6])
+HALFSPACE_OFFSET = -0.6
+
+
+def halfspace_grid(tmp_path, spec):
+    rng = np.random.default_rng(24)
+    points = rng.uniform(size=(40, 8))
+    points = points[points @ HALFSPACE_NORMAL + HALFSPACE_OFFSET < 0.0][:3]
+    return ExperimentConfig(
+        oracles=[spec], points=PointsConfig(source="inline", values=points),
+        attack=AttackConfig(initial_samples=20, iterations=6),
+        budgets=[2000], base_seed=5, output_dir=str(tmp_path / spec.kind))
+
+
+@pytest.mark.parametrize("fault", ["late", "exit", "garbage"])
+def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
+    src = os.path.dirname(os.path.dirname(lhsattack.__file__))
+    path = tmp_path / "flaky.py"
+    path.write_text(FLAKY_HALFSPACE)
+    cmd = shlex.join([sys.executable, str(path), src, str(tmp_path / "marker"), fault,
+                      "30", ",".join(repr(float(v)) for v in HALFSPACE_NORMAL),
+                      repr(HALFSPACE_OFFSET)])
+    external = run_experiment(halfspace_grid(tmp_path, OracleSpecConfig(
+        name="net", kind="external", cmd=cmd, dim=8, timeout=3.0)))
+    in_process = run_experiment(halfspace_grid(tmp_path, OracleSpecConfig(
+        name="net", kind="halfspace", normal=HALFSPACE_NORMAL, offset=HALFSPACE_OFFSET)))
+
+    # query 30 falls inside the first attack, which fails; every later run
+    # gets a fresh child and exactly the in-process answers
+    first, *later = external.runs
+    assert first.status == "oracle_failed"
+    assert len(later) == len(in_process.runs) - 1 == 5
+    for got, want in zip(later, in_process.runs[1:]):
+        assert got.status == want.status == "completed"
+        key = (got.oracle, got.sampler, got.point_index, got.rep)
+        assert external.traces[key].rows == in_process.traces[key].rows
+
+
+# ---------------------------------------------------------------------------
 # serve_oracle (the peer side)
 
 
@@ -251,6 +386,8 @@ def test_format_parse_round_trip_exact():
     tricky = np.array([1.0 / 3.0, -2.0 / 7.0, 1e-300, 1e300, 0.1 + 0.2,
                        5e-324, -0.0, 123456789.123456789])
     line = format_floats(tricky)
+    assert line == " ".join(f"{float(v):.17g}" for v in tricky)
+    assert format_floats(list(tricky)) == line
     back = parse_floats(line, tricky.size)
     assert all(a == b for a, b in zip(tricky, back))
 

@@ -12,6 +12,7 @@ from lhsattack.errors import (
 )
 from lhsattack.oracles import (
     IDENTITY,
+    DecisionOracle,
     PHASE_BINSEARCH,
     PHASE_GRADIENT,
     PHASE_INIT,
@@ -60,6 +61,14 @@ def test_ledger_counts_per_phase():
     snap = ledger.snapshot()
     assert snap == {"init": 2, "binsearch": 3, "gradient": 5, "step": 1}
     assert ledger.total_queries == 11 == sum(snap.values())
+
+
+def test_ledger_records_a_count():
+    ledger = QueryLedger()
+    ledger.record(PHASE_GRADIENT, 150)
+    ledger.record(PHASE_STEP)
+    assert ledger.snapshot()["gradient"] == 150
+    assert ledger.total_queries == 151
 
 
 def test_ledger_rejects_unknown_phase():
@@ -184,6 +193,58 @@ def test_metered_shares_caller_ledger():
     m.decide(np.array([0.1, 0.1]), PHASE_INIT)
     assert ledger.total_queries == 1
     assert m.ledger is ledger
+
+
+class CountingOracle(DecisionOracle):
+    """Defines only ``_decide``, so batches take the base-class loop."""
+
+    kind = "counting"
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.evaluated = 0
+
+    def _decide(self, x):
+        self.evaluated += 1
+        return 1 if x.sum() > 1.0 else -1
+
+
+def test_decide_batch_charges_one_query_per_row():
+    m = metered(CountingOracle(3))
+    X = np.random.default_rng(2).uniform(size=(7, 3))
+    got = m.decide_batch(X, PHASE_GRADIENT)
+    assert got.tolist() == [m.oracle._decide(x) for x in X]
+    assert m.ledger.snapshot() == {"init": 0, "binsearch": 0, "gradient": 7, "step": 0}
+    assert m.decide_batch(np.empty((0, 3)), PHASE_GRADIENT).shape == (0,)
+    assert m.ledger.total_queries == 7
+
+
+def test_decide_batch_budget_evaluates_and_charges_only_the_prefix():
+    oracle = CountingOracle(2)
+    m = metered(oracle, max_queries=5)
+    m.decide(np.zeros(2), PHASE_INIT)
+    m.decide(np.zeros(2), PHASE_INIT)
+    with pytest.raises(QueryBudgetExceededError):
+        m.decide_batch(np.zeros((6, 2)), PHASE_GRADIENT)
+    assert oracle.evaluated == 5
+    assert m.ledger.snapshot()["gradient"] == 3
+    with pytest.raises(QueryBudgetExceededError):
+        m.decide_batch(np.zeros((1, 2)), PHASE_GRADIENT)
+    assert (oracle.evaluated, m.ledger.total_queries) == (5, 5)
+
+
+def test_decide_batch_that_fits_exactly_does_not_raise():
+    m = metered(CountingOracle(2), max_queries=4)
+    assert m.decide_batch(np.ones((4, 2)), PHASE_GRADIENT).tolist() == [1] * 4
+    assert m.ledger.total_queries == 4
+
+
+def test_decide_batch_shape_mismatch():
+    m = metered(CountingOracle(3))
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError):
+            m.decide_batch(bad, PHASE_GRADIENT)
+    assert m.ledger.total_queries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +546,104 @@ def test_committed_fixture_loads(mlp_fixture_path):
     assert model.class_count == 2
     assert model.input_dim == 64
     assert len(model.layers) == 3  # two hidden layers plus the output layer
+
+
+# ---------------------------------------------------------------------------
+# Batch kernels: _decide_batch must equal _decide row by row, also where a
+# GEMM and a GEMV round differently (on the boundary).
+
+
+def batch_vs_rows(oracle, X):
+    """The batch answers, the row-by-row answers, and how many rows the
+    batch handed back to ``_decide``."""
+    want = [oracle._decide(x) for x in X]
+    single = oracle._decide
+    redecided = []
+
+    def counted(x):
+        redecided.append(1)
+        return single(x)
+
+    oracle._decide = counted
+    try:
+        got = oracle._decide_batch(X)
+    finally:
+        del oracle._decide
+    return got.tolist(), want, len(redecided)
+
+
+def test_default_batch_loops_over_decide():
+    oracle = CountingOracle(4)
+    X = np.random.default_rng(3).uniform(size=(50, 4))
+    got, want, redecided = batch_vs_rows(oracle, X)
+    assert got == want
+    assert redecided == 50
+
+
+def random_mlp(rng, widths, class_count):
+    layers = [MlpLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in),
+                       rng.normal(size=w_out) * 0.1, RELU)
+              for w_in, w_out in zip(widths, widths[1:])]
+    layers.append(MlpLayer(rng.normal(size=(class_count, widths[-1])),
+                           rng.normal(size=class_count) * 0.1, IDENTITY))
+    return MlpModel(layers, class_count)
+
+
+def near_boundary_rows(model, X, per_segment=8):
+    """Rows within roundoff of an argmax change, found by bisecting to
+    float precision along segments between inputs of different classes."""
+    labels = [int(np.argmax(mlp_forward(model, x))) for x in X]
+    rows = []
+    for i in range(len(X)):
+        j = next((j for j in range(i + 1, len(X)) if labels[j] != labels[i]), None)
+        if j is None:
+            continue
+        a, b = X[i], X[j]
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if int(np.argmax(mlp_forward(model, a + mid * (b - a)))) == labels[i]:
+                lo = mid
+            else:
+                hi = mid
+        for t in np.linspace(lo, hi, per_segment):
+            rows.append(a + t * (b - a))
+    return np.array(rows)
+
+
+def mlp_oracles(model, original):
+    top = int(np.argmax(mlp_forward(model, original)))
+    other = (top + 1) % model.class_count
+    return [MlpOracle(model, original),
+            MlpOracle(model, original, mode=TARGETED, target_class=other)]
+
+
+@pytest.mark.parametrize("which", ["fixture", "three_class"])
+def test_mlp_batch_equals_rows(which, mlp_fixture_path):
+    rng = np.random.default_rng(7)
+    if which == "fixture":
+        model = load_mlp(mlp_fixture_path)
+    else:
+        model = random_mlp(rng, [16, 24, 24], 3)
+    dim = model.input_dim
+    X = rng.uniform(size=(300, dim))
+    boundary = near_boundary_rows(model, X[:40])
+    assert len(boundary) >= 40
+    for oracle in mlp_oracles(model, X[0]):
+        got, want, _ = batch_vs_rows(oracle, X)
+        assert got == want
+        got, want, redecided = batch_vs_rows(oracle, boundary)
+        assert got == want
+        assert redecided > 0
+
+
+def test_mlp_batch_exact_score_ties_resolve_like_rows():
+    rng = np.random.default_rng(8)
+    model = random_mlp(rng, [6, 10], 3)
+    out = model.layers[-1]
+    out.weight[2], out.bias[2] = out.weight[0], out.bias[0]   # classes 0 and 2 tie
+    X = rng.uniform(size=(200, 6))
+    for oracle in (MlpOracle(model, mode=UNTARGETED, original_class=0),
+                   MlpOracle(model, mode=TARGETED, target_class=2)):
+        got, want, _ = batch_vs_rows(oracle, X)
+        assert got == want
