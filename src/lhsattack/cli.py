@@ -14,7 +14,13 @@ Oracle argument grammar (shared by ``attack`` and ``oracle-serve``)::
     hypersphere:r=0.5,m=20[,center=0.1;0.2;...]
     halfspace:w=1;0;0,b=-0.5            (vectors: ';'-separated or @file)
     mlp:weights=model.txt[,class=0|target=1]
-    external:m=20,cmd=python serve.py   (cmd= must come last; rest is raw)
+    external:m=20[,timeout=10],cmd=python serve.py   (cmd= last; rest is raw)
+
+The keys, their aliases and value types come from the table in
+``harness.OracleSpecConfig``. Each field may be given once, under one
+spelling. ``m``/``dim``, ``w`` and ``center`` each imply the input
+dimension. ``timeout`` (seconds, default 10) must be > 0; ``r`` must be
+> 0, and every number must be finite.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -34,6 +40,7 @@ from .errors import (
     WeightsFormatError,
 )
 from .harness import (
+    SPEC_KEYS,
     OracleSpecConfig,
     build_oracle,
     emit_trace_csv,
@@ -47,10 +54,6 @@ from .oracles import (
     PHASE_INIT,
     TARGETED,
     UNTARGETED,
-    ExternalOracle,
-    HalfspaceOracle,
-    HypersphereOracle,
-    MlpOracle,
     QueryLedger,
     decide,
     format_floats,
@@ -86,19 +89,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
-_SPEC_FIELDS = {
-    "r": ("radius", float), "radius": ("radius", float),
-    "m": ("dim", int), "dim": ("dim", int),
-    "b": ("offset", float), "offset": ("offset", float),
-    "w": ("normal", _parse_vector), "normal": ("normal", _parse_vector),
-    "weights": ("weights", str),
-    "timeout": ("timeout", float),
-    "target": ("target_class", int), "target_class": ("target_class", int),
-    "class": ("original_class", int), "original_class": ("original_class", int),
-    "center": ("center", _parse_vector),
-}
-
-
 def parse_oracle_spec(text: str) -> OracleSpecConfig:
     """Parse a ``kind:key=value,...`` oracle argument.
 
@@ -110,12 +100,12 @@ def parse_oracle_spec(text: str) -> OracleSpecConfig:
     kind = kind.strip()
     if not kind:
         raise ConfigError(f"oracle spec {text!r}: missing kind")
-    kwargs = {}
+    items = []
     while rest:
         if rest.startswith("cmd="):
-            kwargs["cmd"] = rest[4:]
-            if not kwargs["cmd"].strip():
+            if not rest[4:].strip():
                 raise ConfigError(f"oracle spec {text!r}: empty cmd")
+            items.append(("cmd", rest[4:]))
             break
         part, _, rest = rest.partition(",")
         part = part.strip()
@@ -123,30 +113,22 @@ def parse_oracle_spec(text: str) -> OracleSpecConfig:
             continue
         key, eq, value = part.partition("=")
         key = key.strip()
-        if not eq or key not in _SPEC_FIELDS:
+        if not eq or key not in SPEC_KEYS:
             raise ConfigError(f"oracle spec: unknown or malformed token {part!r}")
-        field, conv = _SPEC_FIELDS[key]
-        try:
-            kwargs[field] = conv(value.strip())
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"oracle spec: bad value for {key!r}: {exc}") from exc
-    return OracleSpecConfig(name=kind, kind=kind, **kwargs)
+        items.append((key, value.strip()))
+    return OracleSpecConfig.from_text(kind, kind, items, _parse_vector)
 
 
 def _resolve_dim(spec: OracleSpecConfig, point, dim_flag, model_cache) -> int:
-    candidates = []
+    candidates = [d for _, d in spec.implied_dims()]
     if point is not None:
         candidates.append(len(point))
     if dim_flag:
         candidates.append(dim_flag)
-    if spec.normal is not None:
-        candidates.append(spec.normal.shape[0])
     if spec.kind == "mlp":
         if spec.weights not in model_cache:
             model_cache[spec.weights] = load_mlp(spec.weights)
         candidates.append(model_cache[spec.weights].input_dim)
-    if spec.dim:
-        candidates.append(spec.dim)
     if not candidates:
         raise ConfigError(
             "input dimension unknown; give --point, --dim, or m= in the oracle spec")
@@ -169,39 +151,30 @@ def cmd_attack(args) -> int:
             raise ConfigError(f"--point: {exc}") from exc
     elif args.point_file is not None:
         point = load_points_file(args.point_file)[0]
-    dim = _resolve_dim(spec, point, args.dim, model_cache)
-    if spec.dim is None:
-        spec.dim = dim
+    spec.dim = _resolve_dim(spec, point, args.dim, model_cache)
 
     target_image = None
     if args.target_image is not None:
         target_image = load_points_file(args.target_image)[0]
 
-    external = None
-    if spec.kind == "external":
-        external = ExternalOracle(spec.cmd, dim=dim, timeout=spec.timeout)
+    # One external child serves every query; in-process oracles are built
+    # around each candidate original.
+    external = build_oracle(spec) if spec.kind == "external" else None
+
+    def oracle_for(x):
+        return external if external is not None else build_oracle(spec, x, model_cache)
+
+    def acceptable(x):
+        return _setup_decision(oracle_for(x), x) == -1
+
     try:
         if point is None:
-            if spec.kind == "hypersphere":
-                accept = None
-            elif spec.kind == "external":
-                accept = lambda c: _setup_decision(external, c) == -1
-            else:
-                accept = lambda c: _setup_decision(
-                    build_oracle(spec, c, model_cache), c) == -1
-            point = generate_points(1, dim, args.seed, args.clip_low,
-                                    args.clip_high, accept=accept)[0]
-        else:
-            if len(point) != dim:
-                raise ConfigError(f"point has {len(point)} coordinates, expected {dim}")
-            probe = external if external is not None \
-                else build_oracle(spec, point, model_cache)
-            if _setup_decision(probe, point) != -1:
-                raise ConfigError(
-                    "original point is already adversarial for this oracle")
+            point = generate_points(1, spec.dim, args.seed, args.clip_low,
+                                    args.clip_high, accept=acceptable)[0]
+        elif not acceptable(point):
+            raise ConfigError("original point is already adversarial for this oracle")
 
-        oracle = external if external is not None \
-            else build_oracle(spec, point, model_cache)
+        oracle = oracle_for(point)
         config = AttackConfig(
             initial_samples=args.initial_samples,
             iterations=args.iterations,
@@ -270,28 +243,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _build_serve_oracle(spec: OracleSpecConfig):
-    if spec.kind == "halfspace":
-        return HalfspaceOracle(spec.normal, spec.offset)
-    if spec.kind == "hypersphere":
-        if spec.center is None:
-            raise ConfigError("hypersphere serving needs center=<vector>")
-        return HypersphereOracle(spec.center, spec.radius)
-    if spec.kind == "mlp":
-        model = load_mlp(spec.weights)
-        mode = TARGETED if spec.target_class is not None else UNTARGETED
-        try:
-            return MlpOracle(model, None, mode=mode,
-                             original_class=spec.original_class,
-                             target_class=spec.target_class)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"cannot serve oracle kind {spec.kind!r}")
-
-
 def cmd_oracle_serve(args) -> int:
     spec = parse_oracle_spec(args.spec)
-    oracle = _build_serve_oracle(spec)
+    if spec.kind == "external":
+        raise ConfigError(f"cannot serve oracle kind {spec.kind!r}")
+    oracle = build_oracle(spec)
     ledger = QueryLedger()
     served = serve_oracle(
         lambda x: decide(oracle, x, ledger, PHASE_INIT), oracle.dim)

@@ -77,55 +77,126 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _fields_equal(a, b) -> bool:
+    """Dataclass equality that compares array fields by value."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class _ValueType:
+    """How an oracle-spec value is read from text, checked and written back."""
+
+    parse: object            # text -> value; None: each grammar parses vectors
+    valid: object            # value -> bool
+    means: str               # what a valid value is, for error messages
+    show: object = str       # value -> INI text
+
+
+INT = _ValueType(int, lambda v: True, "an integer")
+FINITE = _ValueType(float, np.isfinite, "finite", _fmt)
+POSITIVE = _ValueType(float, lambda v: np.isfinite(v) and v > 0.0, "positive and finite", _fmt)
+STRING = _ValueType(str, lambda v: True, "a string")
+VECTOR = _ValueType(None, lambda v: v.ndim == 1 and v.size > 0 and np.isfinite(v).all(),
+                    "a non-empty vector of finite values",
+                    lambda v: " ".join(_fmt(x) for x in v))
+
+
+def _spec_field(vtype: _ValueType, *aliases: str, default=None):
+    """One row of the oracle-spec table (see :class:`OracleSpecConfig`)."""
+    return field(default=default, metadata={"type": vtype, "aliases": aliases})
+
+
 @dataclass(eq=False)
 class OracleSpecConfig:
-    """Declarative description of one oracle; realized per original point."""
+    """Declarative description of one oracle; realized per original point.
+
+    Every field after ``kind`` is a row of the oracle-spec table: its name
+    is the canonical key of both text grammars (the CLI's
+    ``kind:key=value,...`` and the INI ``[oracle <name>]`` section), and
+    the row gives its aliases, value type and default. Parsing, checking,
+    serialization and the input dimension a spec implies all come from
+    these rows. Each field may be given once, under one of its spellings.
+    """
 
     name: str
     kind: str
-    radius: float | None = None
-    normal: np.ndarray | None = None
-    offset: float | None = None
-    weights: str | None = None
-    cmd: str | None = None
-    timeout: float = 10.0
-    target_class: int | None = None
-    dim: int | None = None
+    radius: float | None = _spec_field(POSITIVE, "r")
+    normal: np.ndarray | None = _spec_field(VECTOR, "w")
+    offset: float | None = _spec_field(FINITE, "b")
+    weights: str | None = _spec_field(STRING)
+    cmd: str | None = _spec_field(STRING)
+    timeout: float = _spec_field(POSITIVE, default=10.0)
+    target_class: int | None = _spec_field(INT, "target")
+    dim: int | None = _spec_field(INT, "m")
     # The two below matter when no original point is in play (oracle-serve):
     # a fixed hypersphere center, and an explicit class index for mlp.
-    center: np.ndarray | None = None
-    original_class: int | None = None
+    center: np.ndarray | None = _spec_field(VECTOR)
+    original_class: int | None = _spec_field(INT, "class")
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
             raise ConfigError(f"unknown oracle kind {self.kind!r}")
-        if self.kind == "hypersphere":
-            if self.radius is None or not self.radius > 0.0:
-                raise ConfigError(f"oracle {self.name!r}: radius must be positive")
-        elif self.kind == "halfspace":
+        for f in SPEC_FIELDS:
+            value, vtype = getattr(self, f.name), f.metadata["type"]
+            if value is None:
+                continue
+            if vtype is VECTOR:
+                value = np.asarray(value, dtype=np.float64)
+                setattr(self, f.name, value)
+            if not vtype.valid(value):
+                raise ConfigError(f"oracle {self.name!r}: {f.name} must be {vtype.means}")
+        if self.kind == "hypersphere" and self.radius is None:
+            raise ConfigError(f"oracle {self.name!r}: radius must be positive")
+        if self.kind == "halfspace":
             if self.normal is None or self.offset is None:
                 raise ConfigError(f"oracle {self.name!r}: needs normal and offset")
-            self.normal = np.asarray(self.normal, dtype=np.float64)
-            if self.normal.ndim != 1 or not np.linalg.norm(self.normal) > 0.0:
+            if not np.linalg.norm(self.normal) > 0.0:
                 raise ConfigError(f"oracle {self.name!r}: normal must be a nonzero vector")
-        elif self.kind == "mlp":
-            if not self.weights:
-                raise ConfigError(f"oracle {self.name!r}: needs a weights path")
-        elif self.kind == "external":
-            if not self.cmd:
-                raise ConfigError(f"oracle {self.name!r}: needs a command")
+        if self.kind == "mlp" and not self.weights:
+            raise ConfigError(f"oracle {self.name!r}: needs a weights path")
+        if self.kind == "external" and not self.cmd:
+            raise ConfigError(f"oracle {self.name!r}: needs a command")
+
+    @classmethod
+    def from_text(cls, name: str, kind: str, items, vector) -> "OracleSpecConfig":
+        """Build a spec from known ``(key, text)`` pairs; ``vector`` parses vectors."""
+        kwargs, spelled = {}, {}
+        for key, text in items:
+            f = SPEC_KEYS[key]
+            if f.name in spelled:
+                raise ConfigError(f"oracle {name!r}: {f.name} given more than once "
+                                  f"(as {spelled[f.name]!r} and {key!r})")
+            spelled[f.name] = key
+            try:
+                kwargs[f.name] = (f.metadata["type"].parse or vector)(text)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"oracle {name!r}: bad value for {key!r}: {exc}") from exc
+        return cls(name=name, kind=kind, **kwargs)
+
+    def implied_dims(self):
+        """``(field, dimension)`` for ``dim`` and each vector field that is set."""
+        for f in SPEC_FIELDS:
+            value = getattr(self, f.name)
+            if f.name == "dim" and value:
+                yield f.name, value
+            elif f.metadata["type"] is VECTOR and value is not None:
+                yield f.name, len(value)
 
     def __eq__(self, other):
         if not isinstance(other, OracleSpecConfig):
             return NotImplemented
-        mine, theirs = dataclasses.asdict(self), dataclasses.asdict(other)
-        for key in ("normal", "center"):
-            a, b = mine.pop(key), theirs.pop(key)
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return mine == theirs
+        return _fields_equal(self, other)
+
+
+SPEC_FIELDS = tuple(f for f in dataclasses.fields(OracleSpecConfig) if f.metadata)
+SPEC_KEYS = {key: f for f in SPEC_FIELDS for key in (f.name, *f.metadata["aliases"])}
 
 
 @dataclass(eq=False)
@@ -158,11 +229,7 @@ class PointsConfig:
     def __eq__(self, other):
         if not isinstance(other, PointsConfig):
             return NotImplemented
-        mine, theirs = dataclasses.asdict(self), dataclasses.asdict(other)
-        a, b = mine.pop("values"), theirs.pop("values")
-        return mine == theirs and (
-            (a is None and b is None)
-            or (a is not None and b is not None and np.array_equal(a, b)))
+        return _fields_equal(self, other)
 
 
 @dataclass
@@ -239,9 +306,6 @@ class ExperimentResult:
 
 _EXPERIMENT_KEYS = {"name", "repetitions", "base_seed", "output_dir", "budgets",
                     "samplers", "statistics"}
-_ORACLE_KEYS = {"kind", "radius", "r", "normal", "w", "offset", "b", "weights",
-                "cmd", "timeout", "target_class", "target", "dim", "m",
-                "center", "original_class", "class"}
 _POINTS_KEYS = {"source", "count", "dim", "seed", "file", "values"}
 _ATTACK_KEYS = {"initial_samples", "iterations", "bisect_tol", "max_queries",
                 "mode", "max_init_tries", "max_step_retries", "clip_low",
@@ -310,29 +374,13 @@ def parse_config(path) -> ExperimentConfig:
             if stats is not None:
                 exp_kwargs["statistics"] = stats
         elif name.startswith("oracle ") or name == "oracle":
-            oname = name[7:].strip() or "oracle"
-            _check_keys(section, _ORACLE_KEYS)
-            kind = section.get("kind", "").strip()
+            _check_keys(section, {"kind", *SPEC_KEYS})
+            items = [(key, text.strip()) for key, text in section.items()
+                     if key != "kind" and text.strip()]
             try:
-                oracles.append(OracleSpecConfig(
-                    name=oname,
-                    kind=kind,
-                    radius=_typed(section, "radius", float,
-                                  _typed(section, "r", float)),
-                    normal=_typed(section, "normal", _float_list,
-                                  _typed(section, "w", _float_list)),
-                    offset=_typed(section, "offset", float,
-                                  _typed(section, "b", float)),
-                    weights=section.get("weights", "").strip() or None,
-                    cmd=section.get("cmd", "").strip() or None,
-                    timeout=_typed(section, "timeout", float, 10.0),
-                    target_class=_typed(section, "target_class", int,
-                                        _typed(section, "target", int)),
-                    dim=_typed(section, "dim", int, _typed(section, "m", int)),
-                    center=_typed(section, "center", _float_list),
-                    original_class=_typed(section, "original_class", int,
-                                          _typed(section, "class", int)),
-                ))
+                oracles.append(OracleSpecConfig.from_text(
+                    name[7:].strip() or "oracle", section.get("kind", "").strip(),
+                    items, _float_list))
             except ConfigError as exc:
                 raise ConfigError(f"[{name}] {exc}") from None
         elif name == "points":
@@ -387,16 +435,13 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _cross_validate(config: ExperimentConfig) -> None:
-    dim = config.points.dim or None
+    dim = config.points.dim
     for spec in config.oracles:
-        if spec.kind == "halfspace" and dim and spec.normal.shape[0] != dim:
-            raise ConfigError(
-                f"oracle {spec.name!r}: normal has {spec.normal.shape[0]} "
-                f"coordinates but points have dimension {dim}")
-        if spec.dim and dim and spec.dim != dim:
-            raise ConfigError(
-                f"oracle {spec.name!r}: dim={spec.dim} conflicts with points "
-                f"dimension {dim}")
+        for key, d in spec.implied_dims():
+            if dim and d != dim:
+                clash = (f"dim={d} conflicts with points" if key == "dim" else
+                         f"{key} has {d} coordinates but points have")
+                raise ConfigError(f"oracle {spec.name!r}: {clash} dimension {dim}")
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -413,26 +458,10 @@ def serialize_config(config: ExperimentConfig) -> str:
     for spec in config.oracles:
         lines.append(f"[oracle {spec.name}]")
         lines.append(f"kind = {spec.kind}")
-        if spec.radius is not None:
-            lines.append(f"radius = {_fmt(spec.radius)}")
-        if spec.normal is not None:
-            lines.append("normal = " + " ".join(_fmt(v) for v in spec.normal))
-        if spec.offset is not None:
-            lines.append(f"offset = {_fmt(spec.offset)}")
-        if spec.weights:
-            lines.append(f"weights = {spec.weights}")
-        if spec.cmd:
-            lines.append(f"cmd = {spec.cmd}")
-        if spec.timeout != 10.0:
-            lines.append(f"timeout = {_fmt(spec.timeout)}")
-        if spec.target_class is not None:
-            lines.append(f"target_class = {spec.target_class}")
-        if spec.dim is not None:
-            lines.append(f"dim = {spec.dim}")
-        if spec.center is not None:
-            lines.append("center = " + " ".join(_fmt(v) for v in spec.center))
-        if spec.original_class is not None:
-            lines.append(f"original_class = {spec.original_class}")
+        for f in SPEC_FIELDS:
+            value = getattr(spec, f.name)
+            if value is not None and (f.default is None or value != f.default):
+                lines.append(f"{f.name} = {f.metadata['type'].show(value)}")
         lines.append("")
     lines.append("[points]")
     lines.append(f"source = {config.points.source}")
@@ -442,6 +471,8 @@ def serialize_config(config: ExperimentConfig) -> str:
         lines.append(f"seed = {config.points.seed}")
     elif config.points.source == "file":
         lines.append(f"file = {config.points.file}")
+        if config.points.dim:
+            lines.append(f"dim = {config.points.dim}")
         if config.points.seed:
             lines.append(f"seed = {config.points.seed}")
     else:
@@ -469,27 +500,30 @@ def serialize_config(config: ExperimentConfig) -> str:
 # Oracle and point realization
 
 
-def build_oracle(spec: OracleSpecConfig, original, model_cache: dict | None = None):
-    """Instantiate the oracle described by ``spec`` around one original point.
+def build_oracle(spec: OracleSpecConfig, original=None, model_cache: dict | None = None):
+    """Instantiate the oracle described by ``spec``; the only place that does.
 
-    ``model_cache`` (path -> MlpModel) avoids re-reading weights across
-    runs. External oracles ignore ``original`` beyond dimension checks and
-    should be reused (and finally closed) by the caller instead of being
-    rebuilt per point.
+    A hypersphere without ``center`` is centred on ``original``, an
+    untargeted mlp takes its class, and an external oracle without ``dim``
+    its length; without ``original`` (``oracle-serve``) the spec must say
+    these. ``model_cache`` (path -> MlpModel) avoids re-reading weights.
+    External oracles should be reused, and finally closed, by the caller.
     """
-    original = np.asarray(original, dtype=np.float64)
+    if original is not None:
+        original = np.asarray(original, dtype=np.float64)
+        for key, d in spec.implied_dims():
+            if d != original.shape[0]:
+                said = f"dim={d}" if key == "dim" else f"{key} has {d} coordinates"
+                raise ConfigError(f"oracle {spec.name!r}: {key}/point dimension "
+                                  f"mismatch: {said}, point has {original.shape[0]}")
     if spec.kind == "hypersphere":
         center = original if spec.center is None else spec.center
-        if center.shape != original.shape:
+        if center is None:
             raise ConfigError(
-                f"oracle {spec.name!r}: center/point dimension mismatch")
-        return HypersphereOracle(original=center, radius=spec.radius)
+                f"oracle {spec.name!r}: without an original point, needs center=<vector>")
+        return HypersphereOracle(center, spec.radius)
     if spec.kind == "halfspace":
-        if spec.normal.shape != original.shape:
-            raise ConfigError(
-                f"oracle {spec.name!r}: normal/point dimension mismatch")
-        return HalfspaceOracle(normal=spec.normal, offset=spec.offset,
-                               original=original)
+        return HalfspaceOracle(spec.normal, spec.offset, original)
     if spec.kind == "mlp":
         if model_cache is not None and spec.weights in model_cache:
             model = model_cache[spec.weights]
@@ -501,14 +535,10 @@ def build_oracle(spec: OracleSpecConfig, original, model_cache: dict | None = No
         return MlpOracle(model, original, mode=mode,
                          original_class=spec.original_class,
                          target_class=spec.target_class)
-    if spec.kind == "external":
-        dim = spec.dim if spec.dim else original.shape[0]
-        if dim != original.shape[0]:
-            raise ConfigError(
-                f"oracle {spec.name!r}: dim={dim} but point has {original.shape[0]}")
-        return ExternalOracle(spec.cmd, dim=dim, timeout=spec.timeout,
-                              original=original)
-    raise ConfigError(f"unknown oracle kind {spec.kind!r}")
+    dim = spec.dim or (None if original is None else original.shape[0])
+    if not dim:
+        raise ConfigError(f"oracle {spec.name!r}: input dimension unknown; give dim=")
+    return ExternalOracle(spec.cmd, dim=dim, timeout=spec.timeout)
 
 
 def load_points_file(path, dim: int | None = None) -> np.ndarray:
@@ -654,13 +684,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     traces: dict = {}
 
     def realize(spec, point):
-        if spec.kind == "external":
-            if spec.name not in externals:
-                dim = spec.dim if spec.dim else points.shape[1]
-                externals[spec.name] = ExternalOracle(
-                    spec.cmd, dim=dim, timeout=spec.timeout)
-            return externals[spec.name]
-        return build_oracle(spec, point, model_cache)
+        if spec.kind != "external":
+            return build_oracle(spec, point, model_cache)
+        if spec.name not in externals:
+            externals[spec.name] = build_oracle(spec, point)
+        return externals[spec.name]
 
     try:
         for oi, spec in enumerate(config.oracles):

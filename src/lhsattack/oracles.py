@@ -604,13 +604,12 @@ class ExternalOracle(DecisionOracle):
 
     kind = "external"
 
-    def __init__(self, cmd, dim: int, timeout: float = 10.0, original=None):
+    def __init__(self, cmd, dim: int, timeout: float = 10.0):
         super().__init__(dim)
         self.cmd = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
         if not self.cmd:
             raise ValueError("external oracle command is empty")
         self.timeout = float(timeout)
-        self.original = None if original is None else _as_point(original, self.dim)
         self._proc = None
         self._buf = b""
 

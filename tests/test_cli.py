@@ -6,9 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+from lhsattack.attack import run_attack
 from lhsattack.cli import main, parse_oracle_spec
 from lhsattack.errors import ConfigError
-from lhsattack.oracles import HalfspaceOracle, load_mlp, mlp_forward
+from lhsattack.oracles import (
+    PHASE_INIT,
+    HalfspaceOracle,
+    QueryLedger,
+    decide,
+    load_mlp,
+    mlp_forward,
+)
 from lhsattack.samplers import lhs_normal, normalize_rows
 
 from reference import parse_trace_csv
@@ -74,6 +82,14 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("halfspace:w=1;;x,b=0", r"bad vector"),
     ("torus:r=1", r"unknown oracle kind"),
     ("hypersphere:r=-1", r"radius must be positive"),
+    ("hypersphere:r=inf", r"radius must be positive and finite"),
+    ("external:m=2,timeout=0,cmd=run-me", r"timeout must be positive"),
+    ("external:m=2,timeout=-1,cmd=run-me", r"timeout must be positive"),
+    ("external:m=2,timeout=nan,cmd=run-me", r"timeout must be positive and finite"),
+    ("halfspace:w=1;0,b=nan", r"offset must be finite"),
+    ("hypersphere:r=0.5,center=0.5;nan", r"center must be .*finite"),
+    ("hypersphere:r=0.5,radius=0.7", r"radius given more than once"),
+    ("hypersphere:r=0.5,r=0.9", r"radius given more than once"),
 ])
 def test_spec_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -143,6 +159,50 @@ def test_attack_unknown_dim(tmp_path, capsys):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "input dimension unknown" in capsys.readouterr().err
+
+
+def test_attack_center_implies_dimension(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,center=0.5;0.5;0.5",
+               "--budget", "200", "--iterations", "3", "--initial-samples", "6",
+               "--out", str(out)])
+    assert rc == 0
+    assert "status=completed" in capsys.readouterr().out
+
+
+def test_attack_center_conflicts_with_dim_flag(tmp_path, capsys):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,center=0.5;0.5;0.5",
+               "--dim", "4", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
+
+
+def test_attack_center_conflicts_with_spec_dim(tmp_path, capsys):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=4,center=0.5;0.5;0.5",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_attack_generated_original_is_not_adversarial(tmp_path, capsys, monkeypatch, seed):
+    # A ball that does not contain most of the clip box: most uniform
+    # candidates are already adversarial and must be drawn again.
+    seen = []
+
+    def capture(oracle, original, config):
+        seen.append((oracle, original))
+        return run_attack(oracle, original, config)
+
+    monkeypatch.setattr("lhsattack.cli.run_attack", capture)
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,center=0.9;0.9;0.9",
+               "--dim", "3", "--budget", "200", "--iterations", "3",
+               "--initial-samples", "6", "--seed", str(seed),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    capsys.readouterr()
+    [(oracle, original)] = seen
+    assert decide(oracle, original, QueryLedger(), PHASE_INIT) == -1
 
 
 def test_attack_bad_weights_file_is_config_failure(tmp_path, capsys):

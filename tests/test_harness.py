@@ -156,10 +156,11 @@ radius = 0.5
 [points]
 source = file
 file = pts.txt
+dim = 3
 seed = 3
 """
     config = parse_config(write_config(tmp_path, text))
-    assert config.points.file == "pts.txt"
+    assert config.points.file == "pts.txt" and config.points.dim == 3
     config2 = parse_config(write_config(tmp_path, serialize_config(config), "r.cfg"))
     assert config2 == config
 
@@ -367,6 +368,14 @@ def test_parse_rejects_duplicate_oracle_names(tmp_path):
     ("kind = halfspace\nnormal = 0 0\noffset = 1\n", r"nonzero"),
     ("kind = mlp\n", r"needs a weights path"),
     ("kind = external\n", r"needs a command"),
+    ("kind = hypersphere\nradius = inf\n", r"radius must be positive and finite"),
+    ("kind = halfspace\nnormal = 1 0\noffset = nan\n", r"offset must be finite"),
+    ("kind = external\ncmd = run-me\ntimeout = 0\n", r"timeout must be positive"),
+    ("kind = external\ncmd = run-me\ntimeout = -1\n", r"timeout must be positive"),
+    ("kind = external\ncmd = run-me\ntimeout = nan\n", r"timeout must be positive and finite"),
+    ("kind = hypersphere\nr = 0.5\nradius = 0.7\n", r"radius given more than once"),
+    ("kind = halfspace\nw = 1 0\nnormal = 1 0\nb = 0\n", r"normal given more than once"),
+    ("kind = hypersphere\nradius = abc\n", r"bad value for 'radius'"),
 ])
 def test_parse_rejects_bad_oracle_sections(tmp_path, oracle_section, match):
     text = "[oracle x]\n" + oracle_section + \
@@ -390,6 +399,12 @@ def test_parse_rejects_halfspace_dimension_mismatch(tmp_path):
     text = "[oracle plane]\nkind = halfspace\nnormal = 1 0\noffset = -0.5\n" \
            "[points]\nsource = inline\nvalues = 0.5 0.5 0.5\n"
     _expect_config_error(tmp_path, text, r"coordinates but points have dimension 3")
+
+
+def test_parse_rejects_center_dimension_mismatch(tmp_path):
+    text = "[oracle ball]\nkind = hypersphere\nradius = 0.5\ncenter = 0.5 0.5\n" \
+           "[points]\nsource = inline\nvalues = 0.5 0.5 0.5\n"
+    _expect_config_error(tmp_path, text, r"center has 2 coordinates but points have dimension 3")
 
 
 def test_parse_rejects_oracle_dim_conflict(tmp_path):
@@ -478,6 +493,27 @@ def test_build_oracle_external_dim_mismatch_before_launch():
     spec = OracleSpecConfig(name="probe", kind="external", cmd="run-me", dim=5)
     with pytest.raises(ConfigError, match=r"dim=5"):
         build_oracle(spec, np.array([0.2, 0.4, 0.6]))
+
+
+def test_build_oracle_without_original_uses_the_spec_alone(mlp_fixture_path):
+    ball = build_oracle(OracleSpecConfig(name="ball", kind="hypersphere", radius=0.5,
+                                         center=np.array([0.1, 0.2])))
+    assert np.array_equal(ball.original, [0.1, 0.2])
+    net = build_oracle(OracleSpecConfig(name="net", kind="mlp",
+                                        weights=mlp_fixture_path, original_class=1))
+    assert net.original is None and net.original_class == 1
+    probe = build_oracle(OracleSpecConfig(name="probe", kind="external",
+                                          cmd="run-me", dim=4))
+    assert probe.dim == 4 and probe.cmd == ["run-me"]
+
+
+@pytest.mark.parametrize("spec,match", [
+    (OracleSpecConfig(name="ball", kind="hypersphere", radius=0.5), r"needs center"),
+    (OracleSpecConfig(name="probe", kind="external", cmd="run-me"), r"dimension unknown"),
+])
+def test_build_oracle_without_original_rejects_incomplete_specs(spec, match):
+    with pytest.raises(ConfigError, match=match):
+        build_oracle(spec)
 
 
 # ---------------------------------------------------------------------------
