@@ -152,6 +152,9 @@ class OracleSpecConfig:
                 setattr(self, f.name, value)
             if not vtype.valid(value):
                 raise ConfigError(f"oracle {self.name!r}: {f.name} must be {vtype.means}")
+        dims = sorted({d for _, d in self.implied_dims()})
+        if len(dims) > 1:
+            raise ConfigError(f"oracle {self.name!r}: conflicting input dimensions {dims}")
         if self.kind == "hypersphere" and self.radius is None:
             raise ConfigError(f"oracle {self.name!r}: radius must be positive")
         if self.kind == "halfspace":
@@ -348,6 +351,8 @@ def parse_config(path) -> ExperimentConfig:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
@@ -544,16 +549,20 @@ def build_oracle(spec: OracleSpecConfig, original=None, model_cache: dict | None
 def load_points_file(path, dim: int | None = None) -> np.ndarray:
     """Read original points, one float-line per point (protocol line format)."""
     points = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            if dim is None:
-                dim = len(line.split())
-            try:
-                points.append(parse_floats(line.strip(), dim))
-            except LhsAttackError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"points file {path!r} is not ASCII text: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        if dim is None:
+            dim = len(line.split())
+        try:
+            points.append(parse_floats(line.strip(), dim))
+        except LhsAttackError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not points:
         raise ConfigError(f"points file {path!r} is empty")
     return np.vstack(points)
@@ -651,34 +660,14 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     repetition — but not the sampler — so sampler comparisons are paired.
     Failures (bad originals, init failures, oracle failures) are recorded
     per run and excluded from the statistics; they never abort the batch.
+    Generated originals are screened through the same oracles the runs use
+    (one child per external spec), and an error while screening raises.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    if config.points.source == "inline":
-        points = config.points.values
-    elif config.points.source == "file":
-        points = load_points_file(config.points.file,
-                                  config.points.dim or None)
-    else:
-        model_cache: dict = {}
-        spec_list = config.oracles
-
-        def acceptable(cand):
-            for spec in spec_list:
-                if spec.kind == "external":
-                    continue
-                oracle = build_oracle(spec, cand, model_cache)
-                if _setup_decision(oracle, cand) != -1:
-                    return False
-            return True
-
-        points = generate_points(config.points.count, config.points.dim,
-                                 config.points.seed, config.attack.clip_low,
-                                 config.attack.clip_high, accept=acceptable)
-
     max_budget = max(config.budgets)
-    model_cache = {}
+    model_cache: dict = {}
     externals: dict = {}
     runs: list[RunRecord] = []
     traces: dict = {}
@@ -690,7 +679,21 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
             externals[spec.name] = build_oracle(spec, point)
         return externals[spec.name]
 
+    def acceptable(cand):
+        return all(_setup_decision(realize(spec, cand), cand) == -1
+                   for spec in config.oracles)
+
     try:
+        if config.points.source == "inline":
+            points = config.points.values
+        elif config.points.source == "file":
+            points = load_points_file(config.points.file,
+                                      config.points.dim or None)
+        else:
+            points = generate_points(config.points.count, config.points.dim,
+                                     config.points.seed, config.attack.clip_low,
+                                     config.attack.clip_high, accept=acceptable)
+
         for oi, spec in enumerate(config.oracles):
             for pi, point in enumerate(points):
                 try:

@@ -484,11 +484,17 @@ def load_mlp(path) -> MlpModel:
         On any parse failure or shape-invariant violation; the message
         carries the offending line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-
     def fail(lineno, msg):
         raise WeightsFormatError(f"{path}:{lineno}: {msg}")
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # Count the lines up to the bad byte; "x" stands in for it.
+        before = data[:exc.start].decode("ascii")
+        fail(len((before + "x").splitlines()), f"non-ASCII byte 0x{data[exc.start]:02x}")
 
     def floats(lineno, count):
         if lineno > len(raw):
@@ -533,12 +539,13 @@ def load_mlp(path) -> MlpModel:
         if rows < 1 or cols < 1:
             fail(lineno, "layer dimensions must be positive")
         lineno += 1
-        weight = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            weight[r] = floats(lineno, cols)
-            lineno += 1
-        bias = floats(lineno, rows)
-        lineno += 1
+        # Row by row, so the header's sizes allocate nothing the file lacks.
+        weight = np.array([floats(lineno + r, cols) for r in range(rows)])
+        bias = floats(lineno + rows, rows)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            bad = next(r for r, v in enumerate((*weight, bias)) if not np.isfinite(v).all())
+            fail(lineno + bad, "values must be finite")
+        lineno += rows + 1
         layers.append(MlpLayer(weight=weight, bias=bias, activation=act))
 
     if lineno <= len(raw) and any(l.strip() for l in raw[lineno - 1:]):

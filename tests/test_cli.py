@@ -90,6 +90,8 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("hypersphere:r=0.5,center=0.5;nan", r"center must be .*finite"),
     ("hypersphere:r=0.5,radius=0.7", r"radius given more than once"),
     ("hypersphere:r=0.5,r=0.9", r"radius given more than once"),
+    ("hypersphere:r=0.5,m=4,center=0.5;0.5;0.5", r"conflicting input dimensions \[3, 4\]"),
+    ("halfspace:w=1;0,b=0,m=3", r"conflicting input dimensions \[2, 3\]"),
 ])
 def test_spec_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -393,6 +395,12 @@ def test_oracle_serve_hypersphere_needs_center():
     proc = run_cli(["oracle-serve", "hypersphere:r=0.5,m=3"], input_text="")
     assert proc.returncode == 1
     assert "center" in proc.stderr
+
+
+def test_oracle_serve_rejects_conflicting_dims(capsys):
+    rc = main(["oracle-serve", "hypersphere:r=0.5,m=4,center=0.5;0.5;0.5"])
+    assert rc == 1
+    assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
 
 
 def test_attack_external_oracle_death_is_runtime_failure(tmp_path, capsys):

@@ -2,15 +2,19 @@
 point loading, CSV artifacts, and batch execution."""
 
 import os
+import shlex
+import sys
 
 import numpy as np
 import pytest
 
-from lhsattack.attack import COMPLETED, AttackTrace, TraceRow
+import lhsattack
+from lhsattack.attack import COMPLETED, AttackConfig, AttackTrace, TraceRow
 from lhsattack.errors import ConfigError
 from lhsattack.harness import (
     ExperimentConfig,
     OracleSpecConfig,
+    PointsConfig,
     RunRecord,
     SummaryRow,
     build_oracle,
@@ -413,6 +417,19 @@ def test_parse_rejects_oracle_dim_conflict(tmp_path):
     _expect_config_error(tmp_path, text, r"dim=5 conflicts with points dimension 3")
 
 
+def test_parse_rejects_spec_with_conflicting_dims(tmp_path):
+    text = "[oracle ball]\nkind = hypersphere\nradius = 0.5\ndim = 4\n" \
+           "center = 0.5 0.5 0.5\n[points]\nsource = file\nfile = pts.txt\n"
+    _expect_config_error(tmp_path, text, r"conflicting input dimensions \[3, 4\]")
+
+
+def test_parse_rejects_non_utf8_config(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(MINIMAL_TAIL.encode("ascii").replace(b"ball", b"b\xffll"))
+    with pytest.raises(ConfigError, match=r"not UTF-8"):
+        parse_config(str(path))
+
+
 def test_parse_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"cannot read config"):
         parse_config(str(tmp_path / "nope.cfg"))
@@ -532,6 +549,13 @@ def test_load_points_file_reports_line_number(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("0.5 0.25\n\n1 2\n0.1 nope\n")
     with pytest.raises(ConfigError, match=r"pts\.txt:4:"):
+        load_points_file(str(path))
+
+
+def test_load_points_file_rejects_non_ascii(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b"0.5 0.25\n0.5 0.2\xb5\n")
+    with pytest.raises(ConfigError, match=r"not ASCII"):
         load_points_file(str(path))
 
 
@@ -856,6 +880,23 @@ iterations = 4
     assert len(result.runs) == 6
     assert all(r.status == COMPLETED for r in result.runs)
     assert len(result.traces) == 6
+
+
+def test_run_experiment_generate_source_screens_external_oracles(tmp_path, mlp_fixture_path):
+    # Unscreened, 4 of the 10 points drawn at this seed are ones the served
+    # MLP already calls adversarial; the child itself must screen them out.
+    src = os.path.dirname(os.path.dirname(lhsattack.__file__))
+    cmd = shlex.join([sys.executable, "-c",
+                      "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+                      "from lhsattack.cli import main; sys.exit(main())",
+                      src, "oracle-serve", f"mlp:weights={mlp_fixture_path},class=0"])
+    config = ExperimentConfig(
+        oracles=[OracleSpecConfig(name="net", kind="external", cmd=cmd)],
+        points=PointsConfig(source="generate", count=10, dim=64, seed=8),
+        attack=AttackConfig(iterations=1), budgets=[300])
+    result = run_experiment(config, output_dir=str(tmp_path / "out"))
+    assert len(result.runs) == 20
+    assert not [r for r in result.runs if r.status == "init_failed"]
 
 
 def test_run_experiment_file_source(tmp_path):

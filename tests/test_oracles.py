@@ -541,6 +541,22 @@ def test_weights_unparseable_float(tmp_path):
         load_mlp(path)
 
 
+TWO_BY_TWO = b"mlp k=2 layers=1\nlayer 2 2 identity\n1.0 2.0\n3.0 4.0\n0.0 0.0\n"
+
+
+@pytest.mark.parametrize("old,new,match", [
+    (b"3.0 4.0", b"3.0 4.\xc30", r":4: non-ASCII byte 0xc3"),
+    (b"1.0 2.0", b"1.0 nan", r":3: values must be finite"),
+    (b"0.0 0.0", b"0.0 -inf", r":5: values must be finite"),
+    (b"layer 2 2", b"layer 100000000000 100000000000", r":3: expected 100000000000 values"),
+])
+def test_weights_rejections(tmp_path, old, new, match):
+    path = tmp_path / "broken.txt"
+    path.write_bytes(TWO_BY_TWO.replace(old, new))
+    with pytest.raises(WeightsFormatError, match=match):
+        load_mlp(path)
+
+
 def test_committed_fixture_loads(mlp_fixture_path):
     model = load_mlp(mlp_fixture_path)
     assert model.class_count == 2
