@@ -51,11 +51,8 @@ from .harness import (
     _setup_decision,
 )
 from .oracles import (
-    PHASE_INIT,
     TARGETED,
     UNTARGETED,
-    QueryLedger,
-    decide,
     format_floats,
     load_mlp,
     serve_oracle,
@@ -149,6 +146,8 @@ def cmd_attack(args) -> int:
             point = np.array([float(t) for t in args.point.split()], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"--point: {exc}") from exc
+        if not np.isfinite(point).all():
+            raise ConfigError("--point: coordinates must be finite")
     elif args.point_file is not None:
         point = load_points_file(args.point_file)[0]
     spec.dim = _resolve_dim(spec, point, args.dim, model_cache)
@@ -247,10 +246,7 @@ def cmd_oracle_serve(args) -> int:
     spec = parse_oracle_spec(args.spec)
     if spec.kind == "external":
         raise ConfigError(f"cannot serve oracle kind {spec.kind!r}")
-    oracle = build_oracle(spec)
-    ledger = QueryLedger()
-    served = serve_oracle(
-        lambda x: decide(oracle, x, ledger, PHASE_INIT), oracle.dim)
+    served = serve_oracle(build_oracle(spec))
     print(f"served {served} decisions", file=sys.stderr)
     return 0
 

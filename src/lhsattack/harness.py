@@ -99,7 +99,8 @@ class _ValueType:
     show: object = str       # value -> INI text
 
 
-INT = _ValueType(int, lambda v: True, "an integer")
+SIZE = _ValueType(int, lambda v: v >= 1, "an integer >= 1")
+INDEX = _ValueType(int, lambda v: v >= 0, "an integer >= 0")
 FINITE = _ValueType(float, np.isfinite, "finite", _fmt)
 POSITIVE = _ValueType(float, lambda v: np.isfinite(v) and v > 0.0, "positive and finite", _fmt)
 STRING = _ValueType(str, lambda v: True, "a string")
@@ -133,12 +134,12 @@ class OracleSpecConfig:
     weights: str | None = _spec_field(STRING)
     cmd: str | None = _spec_field(STRING)
     timeout: float = _spec_field(POSITIVE, default=10.0)
-    target_class: int | None = _spec_field(INT, "target")
-    dim: int | None = _spec_field(INT, "m")
+    target_class: int | None = _spec_field(INDEX, "target")
+    dim: int | None = _spec_field(SIZE, "m")
     # The two below matter when no original point is in play (oracle-serve):
     # a fixed hypersphere center, and an explicit class index for mlp.
     center: np.ndarray | None = _spec_field(VECTOR)
-    original_class: int | None = _spec_field(INT, "class")
+    original_class: int | None = _spec_field(INDEX, "class")
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
@@ -187,7 +188,7 @@ class OracleSpecConfig:
         """``(field, dimension)`` for ``dim`` and each vector field that is set."""
         for f in SPEC_FIELDS:
             value = getattr(self, f.name)
-            if f.name == "dim" and value:
+            if f.name == "dim" and value is not None:
                 yield f.name, value
             elif f.metadata["type"] is VECTOR and value is not None:
                 yield f.name, len(value)
@@ -226,6 +227,8 @@ class PointsConfig:
             if self.values is None or len(self.values) == 0:
                 raise ConfigError("points: source=inline needs values")
             self.values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
+            if not np.isfinite(self.values).all():
+                raise ConfigError("points: values must be finite")
             self.count = self.values.shape[0]
             self.dim = self.values.shape[1]
 
@@ -563,6 +566,8 @@ def load_points_file(path, dim: int | None = None) -> np.ndarray:
             points.append(parse_floats(line.strip(), dim))
         except LhsAttackError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(points[-1]).all():
+            raise ConfigError(f"{path}:{lineno}: coordinates must be finite")
     if not points:
         raise ConfigError(f"points file {path!r} is empty")
     return np.vstack(points)

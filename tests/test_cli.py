@@ -92,6 +92,10 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("hypersphere:r=0.5,r=0.9", r"radius given more than once"),
     ("hypersphere:r=0.5,m=4,center=0.5;0.5;0.5", r"conflicting input dimensions \[3, 4\]"),
     ("halfspace:w=1;0,b=0,m=3", r"conflicting input dimensions \[2, 3\]"),
+    ("hypersphere:r=0.5,m=-3", r"dim must be an integer >= 1"),
+    ("hypersphere:r=0.5,m=0", r"dim must be an integer >= 1"),
+    ("mlp:weights=w.txt,class=-1", r"original_class must be an integer >= 0"),
+    ("mlp:weights=w.txt,target=-2", r"target_class must be an integer >= 0"),
 ])
 def test_spec_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -147,6 +151,26 @@ def test_attack_rejects_adversarial_original(tmp_path, capsys):
                "--point", "0.5 0.5 0.5", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "already adversarial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_attack_rejects_non_finite_point(tmp_path, capsys, value):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5", "--point", f"{value} 0.5",
+               "--budget", "50", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "--point: coordinates must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--point-file", "--target-image"])
+def test_attack_rejects_non_finite_point_files(tmp_path, capsys, flag):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5 0.5\n0.5 nan\n")
+    point = [] if flag == "--point-file" else ["--point", "0.5 0.5"]
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5", *point, flag, str(pts),
+               "--budget", "50", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert f"{pts}:2: coordinates must be finite" in capsys.readouterr().err
 
 
 def test_attack_conflicting_dims(tmp_path, capsys):

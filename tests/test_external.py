@@ -333,49 +333,152 @@ def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
         assert external.traces[key].rows == in_process.traces[key].rows
 
 
+def test_child_exit_inside_a_later_chunk_fails_the_whole_batch(tmp_path):
+    # The stub exits on its 20th request, inside the batch's second chunk:
+    # the batch fails, is charged in full, and the next query gets a fresh
+    # child that answers like the in-process oracle.
+    src = os.path.dirname(os.path.dirname(lhsattack.__file__))
+    path = tmp_path / "flaky.py"
+    path.write_text(FLAKY_HALFSPACE)
+    cmd = [sys.executable, str(path), src, str(tmp_path / "marker"), "exit", "20",
+           ",".join(repr(float(v)) for v in HALFSPACE_NORMAL), repr(HALFSPACE_OFFSET)]
+    X = np.random.default_rng(26).uniform(size=(40, 8))
+    builtin = HalfspaceOracle(HALFSPACE_NORMAL, HALFSPACE_OFFSET)
+    with ExternalOracle(cmd, dim=8) as oracle:
+        m = MeteredOracle(oracle)
+        first = oracle._proc
+        with pytest.raises(OracleFailedError, match="oracle process"):
+            m.decide_batch(X, PHASE_GRADIENT)
+        assert m.ledger.per_phase[PHASE_GRADIENT] == 40
+        assert oracle._proc is None
+        assert m.decide_batch(X, PHASE_GRADIENT).tolist() == builtin._decide_batch(X).tolist()
+        assert oracle._proc is not first
+        assert m.decide(X[0], PHASE_INIT) == builtin._decide(X[0])
+        assert m.ledger.total_queries == 81
+
+
 # ---------------------------------------------------------------------------
 # serve_oracle (the peer side)
 
 
-def run_serve(request_text, dim=2, rule=None):
-    if rule is None:
-        def rule(x):
-            return 1 if x[0] > 0.5 else -1
-    out = io.StringIO()
-    served = serve_oracle(rule, dim, infile=io.StringIO(request_text),
-                          outfile=out)
+# Answers +1 where x[0] > 0.5, -1 elsewhere.
+SERVE_RULE = HalfspaceOracle(np.array([1.0, 0.0]), -0.5)
+
+
+class Reads:
+    """A binary input stream that hands out the given pieces, one per read."""
+
+    def __init__(self, *pieces):
+        self.pieces = [p for p in pieces if p]      # an empty read means EOF
+
+    def read1(self, size=-1):
+        return self.pieces.pop(0) if self.pieces else b""
+
+
+class Writes(io.BytesIO):
+    """A binary stream that logs each write and each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def write(self, data):
+        self.log.append(bytes(data))
+        return super().write(data)
+
+    def flush(self):
+        self.log.append("flush")
+
+
+def run_serve(request, oracle=SERVE_RULE):
+    """Serve ``request`` (bytes, or a :class:`Reads`); return (served, output)."""
+    infile = request if isinstance(request, Reads) else io.BytesIO(request)
+    out = io.BytesIO()
+    served = serve_oracle(oracle, infile=infile, outfile=out)
     return served, out.getvalue()
 
 
 def test_serve_round_trip():
-    served, out = run_serve("HELLO m=2\n0.75 0.25\n0.25 0.75\n")
+    served, out = run_serve(b"HELLO m=2\n0.75 0.25\n0.25 0.75\n")
     assert served == 2
-    assert out == "OK\n+1\n-1\n"
+    assert out == b"OK\n+1\n-1\n"
 
 
 def test_serve_zero_queries():
-    served, out = run_serve("HELLO m=2\n")
+    served, out = run_serve(b"HELLO m=2\n")
     assert served == 0
-    assert out == "OK\n"
+    assert out == b"OK\n"
 
 
 def test_serve_rejects_missing_handshake():
     with pytest.raises(ProtocolError):
-        run_serve("")
+        run_serve(b"")
     with pytest.raises(ProtocolError, match="handshake"):
-        run_serve("0.5 0.5\n")
+        run_serve(b"0.5 0.5\n")
 
 
 def test_serve_rejects_dimension_mismatch():
     with pytest.raises(ProtocolError, match="dimension"):
-        run_serve("HELLO m=3\n", dim=2)
+        run_serve(b"HELLO m=3\n")
 
 
 def test_serve_rejects_malformed_request():
     with pytest.raises(ProtocolError):
-        run_serve("HELLO m=2\n0.5 oops\n")
+        run_serve(b"HELLO m=2\n0.5 oops\n")
     with pytest.raises(ProtocolError):
-        run_serve("HELLO m=2\n0.5\n")
+        run_serve(b"HELLO m=2\n0.5\n")
+    with pytest.raises(ProtocolError):      # fullwidth "1": the protocol is ASCII
+        run_serve(b"HELLO m=2\n\xef\xbc\x91 0.5\n")
+
+
+SESSION = b"HELLO m=2\n0.75 0.25\n0.25 0.75\n0.5 0.5\n0.875 1\n0 0\n"
+SESSION_REPLIES = b"OK\n+1\n-1\n-1\n+1\n-1\n"
+
+
+def test_serve_answers_the_same_bytes_however_the_input_is_split():
+    # Every split into two reads, and one read per byte, give the replies
+    # of answering line by line; the handshake may share a read with requests.
+    for cut in range(len(SESSION) + 1):
+        served, out = run_serve(Reads(SESSION[:cut], SESSION[cut:]))
+        assert (served, out) == (5, SESSION_REPLIES), cut
+    served, out = run_serve(Reads(*(SESSION[i:i + 1] for i in range(len(SESSION)))))
+    assert (served, out) == (5, SESSION_REPLIES)
+
+
+def test_serve_answers_each_read_with_one_write_and_one_flush():
+    out = Writes()
+    served = serve_oracle(SERVE_RULE, infile=Reads(SESSION[:25], SESSION[25:]), outfile=out)
+    assert served == 5
+    assert out.log == [b"OK\n+1\n", "flush", b"-1\n-1\n+1\n-1\n", "flush"]
+
+
+def test_serve_answers_an_unterminated_last_line():
+    served, out = run_serve(b"HELLO m=2\n0.75 0.25\n0.25 0.75")
+    assert (served, out) == (2, b"OK\n+1\n-1\n")
+    served, out = run_serve(Reads(b"HELLO m=2\n0.75 0.", b"25"))
+    assert (served, out) == (1, b"OK\n+1\n")
+    served, out = run_serve(b"HELLO m=2")
+    assert (served, out) == (0, b"OK\n")
+
+
+def test_serve_writes_the_good_replies_before_a_malformed_line():
+    out = Writes()
+    request = Reads(b"HELLO m=2\n0.75 0.25\n0.25 0.75\n0.5 oops\n0.75 0.75\n")
+    with pytest.raises(ProtocolError, match="oops"):
+        serve_oracle(SERVE_RULE, infile=request, outfile=out)
+    assert out.log == [b"OK\n+1\n-1\n", "flush"]
+
+
+def test_serve_counts_every_decision_across_reads():
+    rng = np.random.default_rng(25)
+    X = rng.uniform(size=(300, 3))
+    oracle = HalfspaceOracle(np.array([1.0, -2.0, 0.5]), 0.25)
+    data = b"HELLO m=3\n" + "".join(format_floats(x) + "\n" for x in X).encode("ascii")
+    served, out = run_serve(Reads(*(data[i:i + 1000] for i in range(0, len(data), 1000))),
+                            oracle=oracle)
+    assert served == 300
+    want = [decide(oracle, x, QueryLedger(), PHASE_INIT) for x in X]
+    assert out == b"OK\n" + "".join("%+d\n" % d for d in want).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,10 @@ def test_parse_rejects_duplicate_oracle_names(tmp_path):
     ("kind = hypersphere\nr = 0.5\nradius = 0.7\n", r"radius given more than once"),
     ("kind = halfspace\nw = 1 0\nnormal = 1 0\nb = 0\n", r"normal given more than once"),
     ("kind = hypersphere\nradius = abc\n", r"bad value for 'radius'"),
+    ("kind = hypersphere\nradius = 0.5\ndim = 0\n", r"dim must be an integer >= 1"),
+    ("kind = hypersphere\nradius = 0.5\nm = -3\n", r"dim must be an integer >= 1"),
+    ("kind = mlp\nweights = w.txt\nclass = -1\n", r"original_class must be an integer >= 0"),
+    ("kind = mlp\nweights = w.txt\ntarget = -1\n", r"target_class must be an integer >= 0"),
 ])
 def test_parse_rejects_bad_oracle_sections(tmp_path, oracle_section, match):
     text = "[oracle x]\n" + oracle_section + \
@@ -392,6 +396,8 @@ def test_parse_rejects_bad_oracle_sections(tmp_path, oracle_section, match):
     ("source = inline\n", r"needs values"),
     ("source = generate\ndim = 3\n", r"generate needs count"),
     ("source = file\n", r"needs a file path"),
+    ("source = inline\nvalues = 0.5 0.5\n  0.5 nan\n", r"values must be finite"),
+    ("source = inline\nvalues = inf 0.5\n", r"values must be finite"),
 ])
 def test_parse_rejects_bad_points_sections(tmp_path, points_section, match):
     text = "[oracle ball]\nkind = hypersphere\nradius = 0.5\n" \
@@ -923,6 +929,23 @@ iterations = 4
     result = run_experiment(config, output_dir=str(tmp_path / "out"))
     assert len(result.runs) == 2
     assert all(r.status == COMPLETED for r in result.runs)
+
+
+def test_run_experiment_rejects_non_finite_file_points(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5 0.5 0.5\n0.5 -inf 0.5\n")
+    text = f"""\
+[oracle ball]
+kind = hypersphere
+radius = 0.3
+
+[points]
+source = file
+file = {pts}
+"""
+    config = parse_config(write_config(tmp_path, text))
+    with pytest.raises(ConfigError, match=r"pts.txt:2: coordinates must be finite"):
+        run_experiment(config, output_dir=str(tmp_path / "out"))
 
 
 # ---------------------------------------------------------------------------

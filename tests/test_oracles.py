@@ -663,3 +663,20 @@ def test_mlp_batch_exact_score_ties_resolve_like_rows():
                    MlpOracle(model, mode=TARGETED, target_class=2)):
         got, want, _ = batch_vs_rows(oracle, X)
         assert got == want
+
+
+@pytest.mark.parametrize("which", ["fixture", "three_class"])
+def test_mlp_one_row_batch_is_decide(which, mlp_fixture_path):
+    # A single query reaches the kernel as a 1-row batch; it must take
+    # ``_decide`` itself, also on rows within roundoff of the boundary.
+    rng = np.random.default_rng(7)
+    model = (load_mlp(mlp_fixture_path) if which == "fixture"
+             else random_mlp(rng, [16, 24, 24], 3))
+    X = rng.uniform(size=(300, model.input_dim))
+    boundary = near_boundary_rows(model, X[:40])
+    assert len(boundary) >= 40
+    for oracle in mlp_oracles(model, X[0]):
+        for x in (*boundary, *X[:40]):
+            got, want, redecided = batch_vs_rows(oracle, x[None, :])
+            assert got == want
+            assert redecided == 1
