@@ -65,7 +65,6 @@ from .oracles import (
     MlpModel,
     MlpOracle,
     QueryLedger,
-    decide,
     load_mlp,
     mlp_forward,
     save_mlp,

@@ -400,10 +400,10 @@ def run_attack(oracle, original, config: AttackConfig):
     budget runs out — returning the best adversarial point seen — or
     after two consecutive failed step searches.
 
-    ``oracle`` may be a bare :class:`DecisionOracle` or a
-    :class:`MeteredOracle`; metering and the ``config.max_queries`` cap
-    are (re)applied here either way, and the ledger rides along on the
-    returned trace.
+    ``oracle`` is a bare :class:`DecisionOracle`; the attack queries it
+    through a fresh :class:`MeteredOracle` capped at
+    ``config.max_queries``, whose ledger rides along on the returned
+    trace.
 
     The original must answer -1; this is the caller's obligation and is
     not re-queried (so budget accounting stays exact).
@@ -419,10 +419,7 @@ def run_attack(oracle, original, config: AttackConfig):
     InitFailedError, OracleFailedError
         With the partial trace attached on the exception's ``trace``.
     """
-    if isinstance(oracle, MeteredOracle):
-        metered = MeteredOracle(oracle.oracle, oracle.ledger, config.max_queries)
-    else:
-        metered = MeteredOracle(oracle, None, config.max_queries)
+    metered = MeteredOracle(oracle, config.max_queries)
     original = np.asarray(original, dtype=np.float64)
     if original.shape != (metered.dim,):
         raise ValueError("original point has the wrong dimension")

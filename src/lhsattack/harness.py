@@ -161,8 +161,15 @@ class OracleSpecConfig:
         if self.kind == "halfspace":
             if self.normal is None or self.offset is None:
                 raise ConfigError(f"oracle {self.name!r}: needs normal and offset")
-            if not np.linalg.norm(self.normal) > 0.0:
+            if not np.any(self.normal != 0):
                 raise ConfigError(f"oracle {self.name!r}: normal must be a nonzero vector")
+            # Bounds |normal . x + offset| over the default [0, 1] box, so the
+            # sign the oracle computes there cannot come from an overflow.
+            with np.errstate(over="ignore"):
+                bound = np.abs(self.normal).sum() + abs(self.offset)
+            if not np.isfinite(bound):
+                raise ConfigError(
+                    f"oracle {self.name!r}: sum(|normal|) + |offset| must be finite")
         if self.kind == "mlp" and not self.weights:
             raise ConfigError(f"oracle {self.name!r}: needs a weights path")
         if self.kind == "external" and not self.cmd:

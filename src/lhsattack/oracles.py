@@ -2,12 +2,13 @@
 
 An oracle answers a single question about a point: is it adversarial
 (+1) or not (-1). Nothing else — no scores, no gradients — crosses the
-query interface. Every answer is metered, through one of two entry
-points: :func:`decide` (or :meth:`MeteredOracle.decide`) for a single
-point, and :meth:`MeteredOracle.decide_batch` for the rows of a matrix,
-which the attack uses for each gradient estimate's probes. Both charge a
-:class:`QueryLedger` exactly one query per point, so ledger totals are
-exact, and both give the same answer for the same point.
+query interface. A :class:`MeteredOracle` is the one way to ask: its
+:meth:`~MeteredOracle.decide` answers a single point and its
+:meth:`~MeteredOracle.decide_batch` the rows of a matrix, which the attack
+uses for each gradient estimate's probes. Both check the point's shape,
+then the query cap, then charge the wrapper's :class:`QueryLedger` exactly
+one query per point, so ledger totals are exact; both give the same answer
+for the same point and raise the same error for the same bad input.
 
 Four oracle kinds are provided: two analytic geometries (halfspace,
 hypersphere) whose true boundary normals are known in closed form, a small
@@ -54,7 +55,6 @@ __all__ = [
     "HypersphereOracle",
     "MlpOracle",
     "ExternalOracle",
-    "decide",
     "true_gradient",
     "MlpLayer",
     "MlpModel",
@@ -123,8 +123,8 @@ class DecisionOracle:
     Subclasses implement ``_decide(x) -> +1 | -1`` on a float64 vector of
     length ``dim`` and may override ``_decide_batch(X)``, which must equal
     ``_decide`` row by row. Neither is called directly — all access goes
-    through :func:`decide` (or a :class:`MeteredOracle`) so that every
-    query lands in a ledger.
+    through a :class:`MeteredOracle`, so that every query lands in a
+    ledger.
     """
 
     kind = "abstract"
@@ -141,49 +141,20 @@ class DecisionOracle:
         """Decisions for the rows of ``X`` (shape (n, dim)), as an int array."""
         return np.array([self._decide(x) for x in X], dtype=np.int64)
 
-    def decide(self, x, ledger: QueryLedger, phase: str) -> int:
-        return decide(self, x, ledger, phase)
-
-
-def decide(oracle: DecisionOracle, x, ledger: QueryLedger, phase: str) -> int:
-    """Evaluate the oracle's sign rule on ``x``, charging exactly one query.
-
-    Parameters
-    ----------
-    oracle : DecisionOracle
-    x : array_like, shape (oracle.dim,)
-        The point to classify. Callers clip into the box first; coordinates
-        are assumed in range and are not re-checked here.
-    ledger : QueryLedger
-    phase : str
-        One of ``PHASES``; attributes the query in the ledger.
-
-    Returns
-    -------
-    int
-        +1 (adversarial) or -1 (not adversarial).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (oracle.dim,):
-        raise ValueError(
-            f"point has shape {x.shape}, oracle expects ({oracle.dim},)")
-    ledger.record(phase)
-    return oracle._decide(x)
-
 
 class MeteredOracle:
-    """An oracle bound to a ledger and an optional hard query cap.
+    """An oracle with its own :class:`QueryLedger` and an optional hard cap.
 
-    The attack operations take one of these instead of a bare oracle so
-    that budget enforcement lives in a single place: the cap is checked
-    *before* each query, and crossing it raises
+    This is the only object that queries an oracle: the attack, the
+    harness and :func:`serve_oracle` all ask through one, so shape checks,
+    budget enforcement and query accounting live in one place. The cap is
+    checked *before* each query, and crossing it raises
     :class:`QueryBudgetExceededError` without spending the query.
     """
 
-    def __init__(self, oracle: DecisionOracle, ledger: QueryLedger | None = None,
-                 max_queries: int | None = None):
+    def __init__(self, oracle: DecisionOracle, max_queries: int | None = None):
         self.oracle = oracle
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self.max_queries = max_queries
 
     @property
@@ -191,10 +162,20 @@ class MeteredOracle:
         return self.oracle.dim
 
     def decide(self, x, phase: str) -> int:
+        """Decide ``x`` (shape (dim,)), charging one query to ``phase``.
+
+        Returns +1 (adversarial) or -1. Callers clip ``x`` into the box
+        first; its coordinates are not re-checked here.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.oracle.dim,):
+            raise ValueError(
+                f"point has shape {x.shape}, oracle expects ({self.oracle.dim},)")
         if self.max_queries is not None and self.ledger.total_queries >= self.max_queries:
             raise QueryBudgetExceededError(
                 f"query budget of {self.max_queries} exhausted")
-        return decide(self.oracle, x, self.ledger, phase)
+        self.ledger.record(phase)
+        return self.oracle._decide(x)
 
     def decide_batch(self, X, phase: str) -> np.ndarray:
         """Decide every row of ``X`` in order, charging one query per row.
@@ -256,8 +237,8 @@ class HalfspaceOracle(DecisionOracle):
         normal = np.asarray(normal, dtype=np.float64)
         if normal.ndim != 1:
             raise ValueError("halfspace normal must be a vector")
-        if not np.linalg.norm(normal) > 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        if not (np.isfinite(normal).all() and np.any(normal != 0)):
+            raise ValueError("halfspace normal must be finite and nonzero")
         super().__init__(normal.shape[0])
         self.normal = normal
         self.offset = float(offset)
@@ -572,6 +553,9 @@ def load_mlp(path) -> MlpModel:
 # decides this one. 8, 16 and 32 rows measured the same.
 _CHUNK_ROWS = 16
 
+# Seconds a child whose pipe closed gets to exit, so its status is reported.
+_EXIT_WAIT_S = 1.0
+
 
 def format_floats(values) -> str:
     """Render a float vector at 17 significant digits, space-separated.
@@ -617,7 +601,8 @@ class ExternalOracle(DecisionOracle):
 
     The child is spawned lazily on the first query (or via :meth:`start`)
     and is reaped by :meth:`close`; the class doubles as a context
-    manager. A reply slower than ``timeout`` seconds, a dead pipe, or an
+    manager. A reply slower than ``timeout`` seconds, a dead pipe (the
+    error names the child's exit status once it has exited), or an
     unlaunchable command raises :class:`OracleFailedError`; a reply that
     is not ``+1``/``-1`` raises :class:`ProtocolError`. Either failure
     kills the child and drops its unread output, so no stale reply can
@@ -710,8 +695,11 @@ class ExternalOracle(DecisionOracle):
         return np.array([1 if r == "+1" else -1 for r in replies], dtype=np.int64)
 
     def _dead(self, what):
-        rc = self._proc.poll()
-        detail = f"exited with status {rc}" if rc is not None else "closed the pipe"
+        # The pipe can close a moment before the child has exited.
+        try:
+            detail = f"exited with status {self._proc.wait(timeout=_EXIT_WAIT_S)}"
+        except subprocess.TimeoutExpired:
+            detail = "closed the pipe"
         return OracleFailedError(f"oracle process {detail} while {what}")
 
     def _exchange(self, chunks, count: int) -> list:

@@ -12,8 +12,7 @@ from lhsattack.errors import ConfigError
 from lhsattack.oracles import (
     PHASE_INIT,
     HalfspaceOracle,
-    QueryLedger,
-    decide,
+    MeteredOracle,
     load_mlp,
     mlp_forward,
 )
@@ -92,6 +91,9 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("hypersphere:r=0.5,r=0.9", r"radius given more than once"),
     ("hypersphere:r=0.5,m=4,center=0.5;0.5;0.5", r"conflicting input dimensions \[3, 4\]"),
     ("halfspace:w=1;0,b=0,m=3", r"conflicting input dimensions \[2, 3\]"),
+    ("halfspace:w=1e308;1e308;-1e308;-1e308,b=-1", r"sum\(\|normal\|\) \+ \|offset\| must be finite"),
+    ("halfspace:w=1e308;0,b=1e308", r"sum\(\|normal\|\) \+ \|offset\| must be finite"),
+    ("halfspace:w=0;-0,b=1", r"normal must be a nonzero vector"),
     ("hypersphere:r=0.5,m=-3", r"dim must be an integer >= 1"),
     ("hypersphere:r=0.5,m=0", r"dim must be an integer >= 1"),
     ("mlp:weights=w.txt,class=-1", r"original_class must be an integer >= 0"),
@@ -228,7 +230,7 @@ def test_attack_generated_original_is_not_adversarial(tmp_path, capsys, monkeypa
     assert rc == 0
     capsys.readouterr()
     [(oracle, original)] = seen
-    assert decide(oracle, original, QueryLedger(), PHASE_INIT) == -1
+    assert MeteredOracle(oracle).decide(original, PHASE_INIT) == -1
 
 
 def test_attack_bad_weights_file_is_config_failure(tmp_path, capsys):

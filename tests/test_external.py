@@ -16,7 +16,7 @@ import pytest
 
 import lhsattack
 from lhsattack.attack import AttackConfig
-from lhsattack.errors import OracleFailedError, ProtocolError
+from lhsattack.errors import OracleFailedError, ProtocolError, QueryBudgetExceededError
 from lhsattack.harness import (
     ExperimentConfig,
     OracleSpecConfig,
@@ -26,12 +26,15 @@ from lhsattack.harness import (
 from lhsattack.oracles import (
     PHASE_GRADIENT,
     PHASE_INIT,
+    PHASE_STEP,
+    PHASES,
     ExternalOracle,
     HalfspaceOracle,
+    HypersphereOracle,
     MeteredOracle,
-    QueryLedger,
-    decide,
+    MlpOracle,
     format_floats,
+    load_mlp,
     parse_floats,
     serve_oracle,
 )
@@ -159,8 +162,7 @@ def test_lazy_start_on_first_query(tmp_path):
     oracle = ExternalOracle(stub(tmp_path, ALWAYS_PLUS), dim=2)
     try:
         assert oracle._proc is None
-        ledger = QueryLedger()
-        assert decide(oracle, np.array([0.5, 0.5]), ledger, PHASE_INIT) == 1
+        assert MeteredOracle(oracle).decide(np.array([0.5, 0.5]), PHASE_INIT) == 1
         assert oracle._proc is not None
     finally:
         oracle.close()
@@ -173,13 +175,12 @@ def test_halfspace_stub_matches_in_process_on_1000_points(tmp_path):
     builtin = HalfspaceOracle(w, b)
     cmd = stub(tmp_path, HALFSPACE_RULE, ",".join(repr(float(v)) for v in w),
                repr(b))
-    ledger = QueryLedger()
     with ExternalOracle(cmd, dim=8) as external:
+        wire, local = MeteredOracle(external), MeteredOracle(builtin)
         for _ in range(1000):
             x = rng.uniform(size=8)
-            assert (decide(external, x, ledger, PHASE_GRADIENT)
-                    == decide(builtin, x, ledger, PHASE_GRADIENT))
-    assert ledger.total_queries == 2000
+            assert wire.decide(x, PHASE_GRADIENT) == local.decide(x, PHASE_GRADIENT)
+    assert wire.ledger.total_queries == local.ledger.total_queries == 1000
 
 
 def test_batch_sends_the_same_bytes_as_single_queries(tmp_path):
@@ -190,8 +191,9 @@ def test_batch_sends_the_same_bytes_as_single_queries(tmp_path):
         assert m.decide_batch(X, PHASE_GRADIENT).tolist() == [1] * 40
         assert m.ledger.total_queries == 40
     with ExternalOracle(stub(tmp_path, RECORDER, str(single)), dim=5) as oracle:
+        m = MeteredOracle(oracle)
         for x in X:
-            decide(oracle, x, QueryLedger(), PHASE_GRADIENT)
+            m.decide(x, PHASE_GRADIENT)
     expected = "".join(format_floats(x) + "\n" for x in X).encode("ascii")
     assert batched.read_bytes() == single.read_bytes() == expected
 
@@ -204,8 +206,8 @@ def test_batch_matches_in_process_oracle(tmp_path):
     X = rng.uniform(size=(500, 8))
     with ExternalOracle(cmd, dim=8) as external:
         got = MeteredOracle(external).decide_batch(X, PHASE_GRADIENT)
-    assert got.tolist() == [decide(HalfspaceOracle(w, b), x, QueryLedger(), PHASE_GRADIENT)
-                            for x in X]
+    local = MeteredOracle(HalfspaceOracle(w, b))
+    assert got.tolist() == [local.decide(x, PHASE_GRADIENT) for x in X]
 
 
 def test_batch_larger_than_the_pipe_buffers(tmp_path):
@@ -221,15 +223,14 @@ def test_exited_child_is_respawned(tmp_path):
         first = oracle._proc
         first.kill()
         first.wait()
-        assert decide(oracle, np.zeros(2), QueryLedger(), PHASE_INIT) == 1
+        assert MeteredOracle(oracle).decide(np.zeros(2), PHASE_INIT) == 1
         assert oracle._proc is not first and oracle._proc.poll() is None
 
 
 def test_garbled_reply_raises_protocol_error(tmp_path):
     with ExternalOracle(stub(tmp_path, GARBLED), dim=2) as oracle:
-        ledger = QueryLedger()
         with pytest.raises(ProtocolError, match="banana"):
-            decide(oracle, np.zeros(2), ledger, PHASE_INIT)
+            MeteredOracle(oracle).decide(np.zeros(2), PHASE_INIT)
 
 
 def test_protocol_error_is_an_oracle_failure():
@@ -240,17 +241,15 @@ def test_protocol_error_is_an_oracle_failure():
 def test_slow_reply_times_out(tmp_path):
     started = time.monotonic()
     with ExternalOracle(stub(tmp_path, SLOW), dim=2, timeout=0.3) as oracle:
-        ledger = QueryLedger()
         with pytest.raises(OracleFailedError, match="within"):
-            decide(oracle, np.zeros(2), ledger, PHASE_INIT)
+            MeteredOracle(oracle).decide(np.zeros(2), PHASE_INIT)
     assert time.monotonic() - started < 5.0
 
 
 def test_dead_process_raises_oracle_failure(tmp_path):
     with ExternalOracle(stub(tmp_path, DIES_AFTER_HANDSHAKE), dim=2) as oracle:
-        ledger = QueryLedger()
-        with pytest.raises(OracleFailedError):
-            decide(oracle, np.zeros(2), ledger, PHASE_INIT)
+        with pytest.raises(OracleFailedError, match="exited with status 0"):
+            MeteredOracle(oracle).decide(np.zeros(2), PHASE_INIT)
 
 
 def test_bad_handshake_reply(tmp_path):
@@ -282,8 +281,7 @@ def test_command_as_shell_string(tmp_path):
     path.write_text(ALWAYS_PLUS)
     cmd = f"{sys.executable} {path}"
     with ExternalOracle(cmd, dim=1) as oracle:
-        ledger = QueryLedger()
-        assert decide(oracle, np.array([0.5]), ledger, PHASE_INIT) == 1
+        assert MeteredOracle(oracle).decide(np.array([0.5]), PHASE_INIT) == 1
 
 
 def test_empty_command_rejected():
@@ -347,7 +345,7 @@ def test_child_exit_inside_a_later_chunk_fails_the_whole_batch(tmp_path):
     with ExternalOracle(cmd, dim=8) as oracle:
         m = MeteredOracle(oracle)
         first = oracle._proc
-        with pytest.raises(OracleFailedError, match="oracle process"):
+        with pytest.raises(OracleFailedError, match="exited with status 3"):
             m.decide_batch(X, PHASE_GRADIENT)
         assert m.ledger.per_phase[PHASE_GRADIENT] == 40
         assert oracle._proc is None
@@ -355,6 +353,44 @@ def test_child_exit_inside_a_later_chunk_fails_the_whole_batch(tmp_path):
         assert oracle._proc is not first
         assert m.decide(X[0], PHASE_INIT) == builtin._decide(X[0])
         assert m.ledger.total_queries == 81
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "hypersphere", "mlp", "external"])
+def test_decide_is_the_one_row_batch(tmp_path, mlp_fixture_path, kind):
+    # A single query and a 1-row batch answer and charge alike, and refuse
+    # alike: shape before budget, and a refusal charges nothing.
+    if kind == "halfspace":
+        oracle = HalfspaceOracle(HALFSPACE_NORMAL, HALFSPACE_OFFSET)
+    elif kind == "hypersphere":
+        oracle = HypersphereOracle(np.full(8, 0.5), radius=0.8)
+    elif kind == "mlp":
+        oracle = MlpOracle(load_mlp(mlp_fixture_path), original_class=0)
+    else:
+        oracle = ExternalOracle(stub(tmp_path, HALFSPACE_RULE, ",".join(
+            repr(float(v)) for v in HALFSPACE_NORMAL), repr(HALFSPACE_OFFSET)), dim=8)
+    X = np.random.default_rng(27).uniform(size=(24, oracle.dim))
+    single, batch = MeteredOracle(oracle, len(X)), MeteredOracle(oracle, len(X))
+    try:
+        answers = []
+        for i, x in enumerate(X):
+            phase = PHASES[i % len(PHASES)]
+            answers.append(single.decide(x, phase))
+            assert answers[-1] == batch.decide_batch(x[None], phase)[0]
+            assert single.ledger.snapshot() == batch.ledger.snapshot()
+        assert set(answers) == {-1, 1}
+        with pytest.raises(QueryBudgetExceededError):
+            single.decide(X[0], PHASE_STEP)
+        with pytest.raises(QueryBudgetExceededError):
+            batch.decide_batch(X[:1], PHASE_STEP)
+        bad = np.zeros(oracle.dim + 1)
+        with pytest.raises(ValueError):
+            single.decide(bad, PHASE_STEP)
+        with pytest.raises(ValueError):
+            batch.decide_batch(bad[None], PHASE_STEP)
+        assert single.ledger.snapshot() == batch.ledger.snapshot() == {p: 6 for p in PHASES}
+    finally:
+        if kind == "external":
+            oracle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +513,8 @@ def test_serve_counts_every_decision_across_reads():
     served, out = run_serve(Reads(*(data[i:i + 1000] for i in range(0, len(data), 1000))),
                             oracle=oracle)
     assert served == 300
-    want = [decide(oracle, x, QueryLedger(), PHASE_INIT) for x in X]
+    local = MeteredOracle(oracle)
+    want = [local.decide(x, PHASE_INIT) for x in X]
     assert out == b"OK\n" + "".join("%+d\n" % d for d in want).encode("ascii")
 
 

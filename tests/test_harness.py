@@ -370,6 +370,10 @@ def test_parse_rejects_duplicate_oracle_names(tmp_path):
     ("kind = hypersphere\nradius = 0\n", r"radius must be positive"),
     ("kind = halfspace\nnormal = 1 0\n", r"needs normal and offset"),
     ("kind = halfspace\nnormal = 0 0\noffset = 1\n", r"nonzero"),
+    ("kind = halfspace\nnormal = 1e308 1e308\noffset = -1\n",
+     r"sum\(\|normal\|\) \+ \|offset\| must be finite"),
+    ("kind = halfspace\nnormal = 1e308 -1\noffset = -1e308\n",
+     r"sum\(\|normal\|\) \+ \|offset\| must be finite"),
     ("kind = mlp\n", r"needs a weights path"),
     ("kind = external\n", r"needs a command"),
     ("kind = hypersphere\nradius = inf\n", r"radius must be positive and finite"),

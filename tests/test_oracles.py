@@ -27,7 +27,6 @@ from lhsattack.oracles import (
     MlpModel,
     MlpOracle,
     QueryLedger,
-    decide,
     load_mlp,
     mlp_forward,
     save_mlp,
@@ -95,76 +94,74 @@ def test_ledger_concurrent_increments_exact():
 
 
 # ---------------------------------------------------------------------------
-# decide + built-in oracles
+# MeteredOracle.decide + built-in oracles
 
 
 def test_halfspace_positive_side():
     w = np.zeros(8)
     w[0] = 1.0
-    oracle = HalfspaceOracle(w, offset=-0.5)
-    ledger = QueryLedger()
+    m = metered(HalfspaceOracle(w, offset=-0.5))
     x = np.full(8, 0.1)
     x[0] = 0.9
-    assert decide(oracle, x, ledger, PHASE_INIT) == 1
+    assert m.decide(x, PHASE_INIT) == 1
     x[0] = 0.1
-    assert decide(oracle, x, ledger, PHASE_INIT) == -1
-    assert ledger.total_queries == 2
+    assert m.decide(x, PHASE_INIT) == -1
+    assert m.ledger.total_queries == 2
 
 
 def test_halfspace_boundary_tie_is_negative():
-    oracle = HalfspaceOracle(np.array([2.0, 0.0]), offset=-1.0)
-    ledger = QueryLedger()
+    m = metered(HalfspaceOracle(np.array([2.0, 0.0]), offset=-1.0))
     on_plane = np.array([0.5, 0.3])
-    assert decide(oracle, on_plane, ledger, PHASE_STEP) == -1
+    assert m.decide(on_plane, PHASE_STEP) == -1
 
 
 def test_halfspace_agrees_with_closed_form_exactly():
     rng = np.random.default_rng(17)
     w = rng.normal(size=12)
     b = -0.3
-    oracle = HalfspaceOracle(w, b)
-    ledger = QueryLedger()
+    m = metered(HalfspaceOracle(w, b))
     for _ in range(500):
         x = rng.uniform(size=12)
         expected = 1 if float(w @ x) + b > 0.0 else -1
-        assert decide(oracle, x, ledger, PHASE_GRADIENT) == expected
-    assert ledger.total_queries == 500
+        assert m.decide(x, PHASE_GRADIENT) == expected
+    assert m.ledger.total_queries == 500
 
 
 def test_hypersphere_center_inside():
     center = np.full(5, 0.4)
-    oracle = HypersphereOracle(center, radius=0.3)
-    ledger = QueryLedger()
-    assert decide(oracle, center, ledger, PHASE_INIT) == -1
+    m = metered(HypersphereOracle(center, radius=0.3))
+    assert m.decide(center, PHASE_INIT) == -1
     outside = center.copy()
     outside[0] += 0.31
-    assert decide(oracle, outside, ledger, PHASE_INIT) == 1
+    assert m.decide(outside, PHASE_INIT) == 1
 
 
 def test_hypersphere_agrees_with_closed_form_exactly():
     rng = np.random.default_rng(23)
     center = rng.uniform(size=6)
-    oracle = HypersphereOracle(center, radius=0.25)
-    ledger = QueryLedger()
+    m = metered(HypersphereOracle(center, radius=0.25))
     for _ in range(500):
         x = rng.uniform(size=6)
         d = x - center
         expected = 1 if float(np.sqrt(d @ d)) > 0.25 else -1
-        assert decide(oracle, x, ledger, PHASE_BINSEARCH) == expected
+        assert m.decide(x, PHASE_BINSEARCH) == expected
 
 
 def test_decide_shape_mismatch():
-    oracle = HalfspaceOracle(np.ones(4), 0.0)
-    ledger = QueryLedger()
+    m = metered(HalfspaceOracle(np.ones(4), 0.0))
     with pytest.raises(ValueError):
-        decide(oracle, np.ones(5), ledger, PHASE_INIT)
+        m.decide(np.ones(5), PHASE_INIT)
     # a rejected call must not be charged
-    assert ledger.total_queries == 0
+    assert m.ledger.total_queries == 0
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
         HalfspaceOracle(np.zeros(3), 0.5)
+    with pytest.raises(ValueError):
+        HalfspaceOracle(np.array([np.inf, 0.0]), 0.5)
+    # a normal whose 2-norm overflows is still a valid normal
+    assert HalfspaceOracle(np.array([1e200, 1.0]), 0.5).dim == 2
     with pytest.raises(ValueError):
         HypersphereOracle(np.ones(3), radius=0.0)
     with pytest.raises(ValueError):
@@ -184,15 +181,6 @@ def test_metered_budget_checked_before_spending():
     with pytest.raises(QueryBudgetExceededError):
         m.decide(x, PHASE_GRADIENT)
     assert m.ledger.total_queries == 3
-
-
-def test_metered_shares_caller_ledger():
-    oracle = HalfspaceOracle(np.ones(2), -0.5)
-    ledger = QueryLedger()
-    m = metered(oracle, ledger=ledger)
-    m.decide(np.array([0.1, 0.1]), PHASE_INIT)
-    assert ledger.total_queries == 1
-    assert m.ledger is ledger
 
 
 class CountingOracle(DecisionOracle):
@@ -325,18 +313,16 @@ def test_mlp_model_invariant_validation():
 
 
 def test_mlp_oracle_untargeted_line_model():
-    oracle = MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0)
-    ledger = QueryLedger()
+    m = metered(MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0))
     # argmax is class 1 for x0 < 0.5, which differs from class 0
-    assert decide(oracle, np.array([0.4]), ledger, PHASE_INIT) == 1
-    assert decide(oracle, np.array([0.9]), ledger, PHASE_INIT) == -1
+    assert m.decide(np.array([0.4]), PHASE_INIT) == 1
+    assert m.decide(np.array([0.9]), PHASE_INIT) == -1
 
 
 def test_mlp_oracle_tie_resolves_to_lowest_index():
-    oracle = MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0)
-    ledger = QueryLedger()
+    m = metered(MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0))
     # scores (0.5, 0.5): argmax tie -> class 0 == original class -> not adversarial
-    assert decide(oracle, np.array([0.5]), ledger, PHASE_INIT) == -1
+    assert m.decide(np.array([0.5]), PHASE_INIT) == -1
 
 
 def test_mlp_oracle_infers_original_class_from_point():
@@ -365,12 +351,11 @@ def test_untargeted_targeted_duality_two_class():
     untargeted = MlpOracle(model, mode=UNTARGETED, original_class=0)
     targeted = MlpOracle(model, mode=TARGETED, target_class=1,
                          original_class=0)
-    ledger = QueryLedger()
+    untargeted, targeted = metered(untargeted), metered(targeted)
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = rng.uniform(size=1)
-        assert (decide(untargeted, x, ledger, PHASE_INIT)
-                == decide(targeted, x, ledger, PHASE_INIT))
+        assert untargeted.decide(x, PHASE_INIT) == targeted.decide(x, PHASE_INIT)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +392,13 @@ def test_halfspace_decision_flips_across_plane_along_gradient():
     b = -0.4
     oracle = HalfspaceOracle(w, b)
     g = true_gradient(oracle, None)
-    ledger = QueryLedger()
+    m = metered(oracle)
     # construct a point exactly on the plane, then probe +-1e-6 along g
     x = rng.uniform(size=9)
     x_on = x - ((float(w @ x) + b) / float(w @ g)) * g
     assert abs(float(w @ x_on) + b) < 1e-9
-    assert decide(oracle, x_on + 1e-6 * g, ledger, PHASE_STEP) == 1
-    assert decide(oracle, x_on - 1e-6 * g, ledger, PHASE_STEP) == -1
+    assert m.decide(x_on + 1e-6 * g, PHASE_STEP) == 1
+    assert m.decide(x_on - 1e-6 * g, PHASE_STEP) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +433,12 @@ def test_weights_round_trip_preserves_decisions(tmp_path):
     path = tmp_path / "net.txt"
     save_mlp(model, path)
     back = load_mlp(path)
-    a = MlpOracle(model, mode=UNTARGETED, original_class=0)
-    b = MlpOracle(back, mode=UNTARGETED, original_class=0)
-    ledger = QueryLedger()
+    a = metered(MlpOracle(model, mode=UNTARGETED, original_class=0))
+    b = metered(MlpOracle(back, mode=UNTARGETED, original_class=0))
     rng = np.random.default_rng(8)
     for _ in range(100):
         x = rng.uniform(size=4)
-        assert (decide(a, x, ledger, PHASE_INIT)
-                == decide(b, x, ledger, PHASE_INIT))
+        assert a.decide(x, PHASE_INIT) == b.decide(x, PHASE_INIT)
 
 
 def write_weights(tmp_path, text):

@@ -3,7 +3,6 @@
 import os
 import tempfile
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lhsattack.cli import parse_oracle_spec
@@ -11,6 +10,8 @@ from lhsattack.errors import ConfigError
 from lhsattack.harness import ORACLE_KINDS, SPEC_KEYS, parse_config, serialize_config
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# Halfspace values: a normal and offset whose |.| sum overflows are invalid.
+bounded = st.floats(min_value=-1e300, max_value=1e300)
 positive = st.floats(min_value=1e-300, max_value=1e300)
 word = st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)
 
@@ -19,8 +20,8 @@ def spelling(canonical, alias):
     return st.sampled_from((canonical, alias))
 
 
-def vector(dim):
-    return st.lists(finite, min_size=dim, max_size=dim)
+def vector(dim, values=finite):
+    return st.lists(values, min_size=dim, max_size=dim)
 
 
 def floats_text(values):
@@ -37,9 +38,9 @@ def oracle_section(draw, name, dim):
         if draw(st.booleans()):
             lines.append(f"center = {floats_text(draw(vector(dim)))}")
     elif kind == "halfspace":
-        normal = draw(vector(dim).filter(lambda v: np.linalg.norm(v) > 0.0))
+        normal = draw(vector(dim, bounded).filter(any))
         lines.append(f"{draw(spelling('normal', 'w'))} = {floats_text(normal)}")
-        lines.append(f"{draw(spelling('offset', 'b'))} = {draw(finite)!r}")
+        lines.append(f"{draw(spelling('offset', 'b'))} = {draw(bounded)!r}")
     elif kind == "mlp":
         lines.append(f"weights = {draw(word)}")
         for canonical, alias in (("original_class", "class"), ("target_class", "target")):
