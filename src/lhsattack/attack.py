@@ -195,11 +195,22 @@ class AttackTrace:
         return self.rows[-1].distortion if self.rows else None
 
 
-def clip(x, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Coordinatewise clamp of ``x`` into [lo, hi]. Idempotent."""
+def clip(x, lo: float = 0.0, hi: float = 1.0, out=None) -> np.ndarray:
+    """Coordinatewise clamp of ``x`` into [lo, hi]. Idempotent.
+
+    ``out``, a float64 array of ``x``'s shape (``x`` itself included),
+    receives the result instead of a new array.
+    """
     if not lo < hi:
         raise ValueError("clip range must satisfy lo < hi")
-    return np.clip(np.asarray(x, dtype=np.float64), lo, hi)
+    # The method skips np.clip's dispatch; np.minimum/np.maximum would not
+    # do, as they turn -0.0 into +0.0 and np.clip keeps it.
+    return np.asarray(x, dtype=np.float64).clip(lo, hi, out=out)
+
+
+def _norm(v) -> float:
+    """Euclidean length of a 1-D float64 vector, as np.linalg.norm computes it."""
+    return math.sqrt(v @ v)
 
 
 def schedule_samples(t: int, base_count: int) -> int:
@@ -221,8 +232,8 @@ def schedule_probe_step(x_prev, original, dim: int) -> float:
     """Probe radius: distance-to-original divided by the dimension."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    dist = float(np.linalg.norm(np.asarray(x_prev, dtype=np.float64)
-                                - np.asarray(original, dtype=np.float64)))
+    dist = _norm(np.asarray(x_prev, dtype=np.float64)
+                 - np.asarray(original, dtype=np.float64))
     if dist == 0.0:
         raise ValueError("previous iterate coincides with the original")
     return dist / dim
@@ -232,8 +243,8 @@ def schedule_step_size(t: int, x_prev, original) -> float:
     """Outward step: distance-to-original divided by sqrt(t), t >= 1."""
     if t < 1:
         raise ValueError("iteration index must be >= 1")
-    dist = float(np.linalg.norm(np.asarray(x_prev, dtype=np.float64)
-                                - np.asarray(original, dtype=np.float64)))
+    dist = _norm(np.asarray(x_prev, dtype=np.float64)
+                 - np.asarray(original, dtype=np.float64))
     if dist == 0.0:
         raise ValueError("previous iterate coincides with the original")
     return dist / math.sqrt(t)
@@ -346,10 +357,12 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
             batch = normalize_rows(batch)
         except DegenerateSampleError:
             continue
-        probes = clip(x[None, :] + probe_step * batch.rows, clip_low, clip_high)
+        probes = probe_step * batch.rows
+        probes += x
+        clip(probes, clip_low, clip_high, out=probes)
         decisions = oracle.decide_batch(probes, PHASE_GRADIENT).astype(np.float64)
         raw_mean = (decisions @ batch.rows) / n_samples
-        norm = float(np.linalg.norm(raw_mean))
+        norm = _norm(raw_mean)
         if norm == 0.0:
             continue
         return GradientEstimate(direction=raw_mean / norm, raw_mean=raw_mean,
@@ -434,7 +447,7 @@ def run_attack(oracle, original, config: AttackConfig):
     best_point = None
 
     def dist_to(p) -> float:
-        return float(np.linalg.norm(p - original))
+        return _norm(p - original)
 
     try:
         init_rng = np.random.default_rng(substream_seed(config.seed, NS_INIT))

@@ -21,6 +21,8 @@ each read as one batch.
 """
 from __future__ import annotations
 
+import functools
+import math
 import os
 import select
 import shlex
@@ -270,7 +272,7 @@ class HypersphereOracle(DecisionOracle):
 
     def _decide(self, x):
         d = x - self.original
-        return 1 if float(np.sqrt(d @ d)) > self.radius else -1
+        return 1 if math.sqrt(d @ d) > self.radius else -1
 
 
 class MlpOracle(DecisionOracle):
@@ -280,6 +282,10 @@ class MlpOracle(DecisionOracle):
     ``original_class``; targeted mode answers +1 when the prediction
     equals ``target_class``. Argmax ties resolve to the lowest class
     index. Scores themselves never leave the oracle.
+
+    The model is treated as immutable once an oracle is built: the batch
+    kernel computes each layer's rounding-error constants on its first
+    batch and keeps them.
     """
 
     kind = "mlp"
@@ -310,8 +316,21 @@ class MlpOracle(DecisionOracle):
             raise ValueError("original_class out of range")
         self.original_class = None if original_class is None else int(original_class)
 
+    @functools.cached_property
+    def _bounds(self):
+        """Per layer: gamma_{n+1} for its n-term dot products, ||W||_inf and
+        max|b|, the constants of the batch kernel's error bound.
+
+        Computed on first use, so oracles that never decide a batch, such
+        as those that screen original points, do not pay for them.
+        """
+        return [(_gamma(layer.weight.shape[1] + 1),
+                 float(np.linalg.norm(layer.weight, np.inf)),
+                 float(np.abs(layer.bias).max()))
+                for layer in self.model.layers]
+
     def _decide(self, x):
-        top = int(np.argmax(mlp_forward(self.model, x)))
+        top = int(_forward(self.model, x).argmax())
         if self.mode == TARGETED:
             return 1 if top == self.target_class else -1
         return 1 if top != self.original_class else -1
@@ -328,16 +347,15 @@ class MlpOracle(DecisionOracle):
         # 1-Lipschitz); both are taken in the max-norm over the whole
         # batch, which costs no second GEMM.
         H, err = X, 0.0
-        for layer in self.model.layers:
-            gamma = _gamma(layer.weight.shape[1] + 1)
-            err = np.linalg.norm(layer.weight, np.inf) * (
-                gamma * np.abs(H).max() + (1.0 + 2.0 * gamma) * err) \
-                + gamma * np.abs(layer.bias).max()
-            H = H @ layer.weight.T + layer.bias
+        for layer, (gamma, w_norm, b_max) in zip(self.model.layers, self._bounds):
+            err = w_norm * (gamma * np.abs(H).max() + (1.0 + 2.0 * gamma) * err) \
+                + gamma * b_max
+            H = H @ layer.weight.T
+            H += layer.bias
             if layer.activation == RELU:
-                H = np.maximum(H, 0.0)
-        top = np.argmax(H, axis=1)
-        ranked = np.sort(H, axis=1)
+                np.maximum(H, 0.0, out=H)
+        top = H.argmax(axis=1)
+        ranked = np.partition(H, -2, axis=1)
         # A top score ahead of the runner-up by more than both paths' errors
         # is the top score on both paths.
         sure = ranked[:, -1] - ranked[:, -2] > 4.0 * err + _TINY
@@ -368,7 +386,9 @@ def true_gradient(oracle: DecisionOracle, x) -> np.ndarray:
         For oracle kinds without a closed-form boundary normal.
     """
     if oracle.kind == "halfspace":
-        return oracle.normal / np.linalg.norm(oracle.normal)
+        # Scaled to max |w| = 1 first, so the norm cannot overflow.
+        w = oracle.normal / np.abs(oracle.normal).max()
+        return w / np.linalg.norm(w)
     if oracle.kind == "hypersphere":
         d = _as_point(x, oracle.dim) - oracle.original
         n = np.linalg.norm(d)
@@ -439,10 +459,17 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     if h.shape != (model.input_dim,):
         raise ValueError(
             f"input has shape {h.shape}, model expects ({model.input_dim},)")
+    return _forward(model, h)
+
+
+def _forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """:func:`mlp_forward` on a float64 vector whose shape is already checked."""
+    h = x
     for layer in model.layers:
-        h = layer.weight @ h + layer.bias
+        h = layer.weight @ h
+        h += layer.bias
         if layer.activation == RELU:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 

@@ -33,6 +33,8 @@ __all__ = [
 LHS = "lhs"
 SRS = "srs"
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 @dataclass
 class SampleBatch:
@@ -94,7 +96,8 @@ def inverse_normal_cdf(p):
         If any p is not finite or lies outside the open interval (0, 1).
     """
     arr = np.asarray(p, dtype=np.float64)
-    if arr.size and ((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)).any():
+    # NaN fails both comparisons, so two reductions cover every bad value.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
     out = ndtri(arr)
     return out if out.ndim else float(out)
@@ -124,11 +127,31 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
     rng, base = _base_uniforms(n_samples, dim, seed)
-    strata = np.argsort(np.argsort(base, axis=0), axis=0)
-    jitter = open_unit(rng, (n_samples, dim))
-    rows = inverse_normal_cdf((strata + jitter) / n_samples)
+    strata = _column_ranks(base)
+    del base
+    # (strata + jitter) / n, formed in the jitter's buffer.
+    q = open_unit(rng, (n_samples, dim))
+    q += strata
+    q /= n_samples
+    # A top-stratum jitter within 2^-47 of 1 rounds the quotient to 1.0,
+    # whose quantile is infinite.
+    np.minimum(q, _BELOW_ONE, out=q)
+    rows = inverse_normal_cdf(q)
     return SampleBatch(rows=rows, sampler_kind=LHS, seed=int(seed),
                        stratum_index=strata)
+
+
+def _column_ranks(base):
+    """Rank of every entry within its column, equal to
+    ``argsort(argsort(base, axis=0), axis=0)`` ties included.
+
+    One argsort of the contiguous transpose orders each column; scattering
+    ``arange`` through that order inverts it.
+    """
+    order = np.ascontiguousarray(base.T).argsort(axis=1)
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(base.shape[0]), axis=1)
+    return ranks.T
 
 
 def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:

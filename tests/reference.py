@@ -9,6 +9,7 @@ paths is meaningful evidence rather than a tautology.
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,6 +55,28 @@ def ref_inverse_normal_cdf(p):
         hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out) if arr.ndim == 0 else out
+
+
+def ref_open_unit(rng, shape):
+    """Uniforms strictly inside (0, 1): ``rng.random`` with exact zeros re-drawn."""
+    u = rng.random(shape)
+    while (u == 0.0).any():
+        u[u == 0.0] = rng.random(int((u == 0.0).sum()))
+    return u
+
+
+def ref_lhs_normal(n_samples, dim, seed):
+    """Latin hypercube normal batch by the plain double-argsort formula.
+
+    Returns ``(rows, stratum_index)``: the ranks of the base uniforms in
+    each column are the strata, a second draw jitters inside them, and
+    scipy's ``ndtri`` maps ``(stratum + jitter) / n`` to a normal value.
+    """
+    rng = np.random.default_rng(seed)
+    base = ref_open_unit(rng, (n_samples, dim))
+    strata = np.argsort(np.argsort(base, axis=0), axis=0)
+    jitter = ref_open_unit(rng, (n_samples, dim))
+    return ndtri((strata + jitter) / n_samples), strata
 
 
 def ref_ks_statistic(values) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lhsattack.attack import (
+    _norm,
     BUDGET_EXHAUSTED,
     COMPLETED,
     INIT_FAILED,
@@ -84,6 +85,26 @@ def test_clip_custom_box():
 def test_clip_bad_range():
     with pytest.raises(ValueError):
         clip(np.zeros(2), lo=1.0, hi=1.0)
+
+
+def test_clip_equals_np_clip_bit_for_bit_signed_zeros_included():
+    x = np.array([-0.0, 0.0, -1e-300, 1e-300, 0.5, -2.0, 3.0, 1.0, -1.0,
+                  np.inf, -np.inf, np.nan])
+    for lo, hi in [(0.0, 1.0), (-1.0, 1.0), (-0.0, 0.5), (-2.5, 0.0)]:
+        assert clip(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+    rows = np.random.default_rng(4).normal(size=(30, 7))
+    want = np.clip(rows, 0.0, 1.0).tobytes()
+    assert clip(rows).tobytes() == want
+    assert clip(rows, out=rows) is rows
+    assert rows.tobytes() == want
+
+
+def test_norm_equals_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 64, 3072):
+        for scale in (1e-150, 1e-3, 1.0, 1e3):
+            v = rng.normal(size=n) * scale
+            assert _norm(v) == float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------

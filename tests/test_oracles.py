@@ -11,6 +11,7 @@ from lhsattack.errors import (
     WeightsFormatError,
 )
 from lhsattack.oracles import (
+    _gamma,
     IDENTITY,
     DecisionOracle,
     PHASE_BINSEARCH,
@@ -368,6 +369,12 @@ def test_true_gradient_halfspace():
     assert g.tolist() == [0.6, 0.8]
 
 
+def test_true_gradient_halfspace_huge_normal_does_not_overflow():
+    oracle = HalfspaceOracle(np.array([1e200, 1.0]), -1e199)
+    g = true_gradient(oracle, None)
+    assert g.tolist() == [1.0, 1e-200]
+
+
 def test_true_gradient_hypersphere_outward():
     oracle = HypersphereOracle(np.zeros(2), radius=1.0)
     g = true_gradient(oracle, np.array([0.0, 2.0]))
@@ -663,3 +670,55 @@ def test_mlp_one_row_batch_is_decide(which, mlp_fixture_path):
             got, want, redecided = batch_vs_rows(oracle, x[None, :])
             assert got == want
             assert redecided == 1
+
+
+def plain_forward(model, x):
+    """Scores by the textbook out-of-place layer loop."""
+    h = x
+    for layer in model.layers:
+        h = layer.weight @ h + layer.bias
+        if layer.activation == RELU:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("which", ["fixture", "three_class"])
+def test_mlp_decide_is_argmax_of_checked_forward(which, mlp_fixture_path):
+    rng = np.random.default_rng(7)
+    model = (load_mlp(mlp_fixture_path) if which == "fixture"
+             else random_mlp(rng, [16, 24, 24], 3))
+    X = rng.uniform(size=(100, model.input_dim))
+    boundary = near_boundary_rows(model, X[:40])
+    assert len(boundary) >= 40
+    rows = np.concatenate([X, boundary])
+    for x in rows:
+        assert mlp_forward(model, x).tobytes() == plain_forward(model, x).tobytes()
+    for oracle in mlp_oracles(model, X[0]):
+        for x in rows:
+            top = int(np.argmax(mlp_forward(model, x)))
+            want = (top == oracle.target_class if oracle.mode == TARGETED
+                    else top != oracle.original_class)
+            assert oracle._decide(x) == (1 if want else -1)
+
+
+def test_mlp_kernels_leave_their_input_unmodified(mlp_fixture_path):
+    model = load_mlp(mlp_fixture_path)
+    X = np.random.default_rng(10).normal(size=(20, model.input_dim))
+    before = X.tobytes()
+    oracle = MlpOracle(model, X[0])
+    for x in X:
+        oracle._decide(x)
+    oracle._decide_batch(X)
+    mlp_forward(model, X[1])
+    assert X.tobytes() == before
+
+
+def test_mlp_cached_bounds_equal_per_batch_values(mlp_fixture_path):
+    for model in (load_mlp(mlp_fixture_path),
+                  random_mlp(np.random.default_rng(11), [16, 24, 24], 3)):
+        oracle = MlpOracle(model, mode=UNTARGETED, original_class=0)
+        assert len(oracle._bounds) == len(model.layers)
+        for layer, (gamma, w_norm, b_max) in zip(model.layers, oracle._bounds):
+            assert gamma == _gamma(layer.weight.shape[1] + 1)
+            assert w_norm == np.linalg.norm(layer.weight, np.inf)
+            assert b_max == np.abs(layer.bias).max()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lhsattack import samplers
 from lhsattack.errors import DegenerateSampleError
 from lhsattack.samplers import (
     LHS,
@@ -19,6 +20,7 @@ from lhsattack.samplers import (
 from reference import (
     ref_inverse_normal_cdf,
     ref_ks_statistic,
+    ref_lhs_normal,
     ref_normal_cdf,
 )
 
@@ -74,7 +76,8 @@ def test_icdf_vectorized_matches_scalar():
         assert vec[i] == inverse_normal_cdf(float(p))
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, 1.25, float("nan")])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, 1.25, float("nan"), float("inf"),
+                                 float("-inf")])
 def test_icdf_domain_errors(bad):
     with pytest.raises(ValueError):
         inverse_normal_cdf(bad)
@@ -148,6 +151,40 @@ def test_lhs_domain_errors():
         lhs_normal(0, 3, seed=0)
     with pytest.raises(ValueError):
         lhs_normal(3, 0, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (2, 3), (229, 64),
+                                   (150, 3072)])
+def test_lhs_matches_double_argsort_reference_bit_for_bit(shape):
+    for seed in (0, 1, 17, 4242):
+        batch = lhs_normal(*shape, seed=seed)
+        rows, strata = ref_lhs_normal(*shape, seed)
+        assert batch.rows.dtype == rows.dtype
+        assert batch.rows.tobytes() == rows.tobytes()
+        assert batch.stratum_index.dtype == strata.dtype
+        assert np.array_equal(batch.stratum_index, strata)
+
+
+def test_lhs_column_ranks_break_ties_like_double_argsort():
+    rng = np.random.default_rng(5)
+    for n, d in [(2, 3), (9, 4), (150, 40)]:
+        base = rng.integers(0, 3, size=(n, d)) / 4.0 + 0.125   # many ties
+        want = np.argsort(np.argsort(base, axis=0), axis=0)
+        assert np.array_equal(samplers._column_ranks(base), want)
+
+
+@pytest.mark.parametrize("n", [2, 100, 150, 229])
+def test_lhs_top_stratum_jitter_next_to_one_stays_finite(monkeypatch, n):
+    # (n - 1 + jitter) / n rounds to exactly 1.0 once the jitter is within
+    # 2^-47 of 1, where the quantile is infinite.
+    monkeypatch.setattr(samplers, "open_unit",
+                        lambda rng, shape: np.full(shape, 1.0 - 2.0 ** -53))
+    assert (n - 1 + (1.0 - 2.0 ** -53)) / n == 1.0
+    batch = lhs_normal(n, 3, seed=0)
+    assert np.isfinite(batch.rows).all()
+    assert_latin(batch)
+    top = batch.rows[batch.stratum_index == n - 1]
+    assert (top == inverse_normal_cdf(np.nextafter(1.0, 0.0))).all()
 
 
 def test_lhs_beats_srs_on_mean_magnitude():
