@@ -113,6 +113,8 @@ class AttackConfig:
     clip_high: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.initial_samples < 1:
             raise ValueError("initial_samples must be >= 1")
         if self.iterations < 1:

@@ -73,6 +73,17 @@ def _err(msg: str) -> None:
     print(f"lhsattack: {msg}", file=sys.stderr)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     """A ';'-separated float list, or @path to a float-line file."""
     if text.startswith("@"):
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=(LHS, SRS), default=LHS)
     p.add_argument("--budget", type=int, default=None,
                    help="hard query cap (default: unlimited)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--point", help="original point as space-separated floats")
     p.add_argument("--point-file", help="float-line file; first line is the original")
     p.add_argument("--dim", type=int, help="input dimension when not implied")
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=(LHS, SRS), default=LHS)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--normalize", action="store_true",
                    help="scale rows to unit length")
     p.add_argument("--out", help="write rows as float lines")

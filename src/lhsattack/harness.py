@@ -224,6 +224,8 @@ class PointsConfig:
     def __post_init__(self):
         if self.source not in POINT_SOURCES:
             raise ConfigError(f"unknown points source {self.source!r}")
+        if self.seed < 0:
+            raise ConfigError("points: seed must be >= 0")
         if self.source == "generate":
             if self.count < 1 or self.dim < 1:
                 raise ConfigError("points: generate needs count >= 1 and dim >= 1")
@@ -265,6 +267,8 @@ class ExperimentConfig:
             raise ConfigError("at least one [oracle <name>] section is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         if not self.budgets or any(b < 1 for b in self.budgets):
             raise ConfigError("budgets must be positive integers")
         if not self.samplers or any(s not in (LHS, SRS) for s in self.samplers):

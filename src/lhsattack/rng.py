@@ -31,8 +31,7 @@ def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     cell) are re-drawn so downstream quantile transforms stay finite.
     """
     u = rng.random(shape)
-    mask = u == 0.0
-    while mask.any():
-        u[mask] = rng.random(int(mask.sum()))
+    while not u.all():
         mask = u == 0.0
+        u[mask] = rng.random(int(mask.sum()))
     return u

@@ -7,9 +7,22 @@ while the Latin hypercube batch re-stratifies the same uniforms (one sample
 per equal-mass stratum and dimension). Paired LHS/SRS experiments therefore
 differ only by the stratification, which is what makes the ablations in this
 package sharp.
+
+Every uniform of a batch is drawn on the calling thread, from one stream and
+in one order. The per-column work after that (the LHS ranks, the
+``(stratum + jitter) / n`` step and the quantile) runs over chunks of
+contiguous columns. For a batch of ``_SPLIT_ELEMENTS`` or more elements,
+when two CPUs are usable, the calling thread and a module-level worker
+thread share the chunks. Both write in place into arrays the caller
+allocated. Every value is computed by the same elementwise or per-column
+operation whichever thread does it, so the batch is bit-identical. Smaller
+batches, such as every probe batch at d = 64, run on the calling thread.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +109,98 @@ def inverse_normal_cdf(p):
         If any p is not finite or lies outside the open interval (0, 1).
     """
     arr = np.asarray(p, dtype=np.float64)
-    # NaN fails both comparisons, so two reductions cover every bad value.
-    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    _check_open_unit(arr)
     out = ndtri(arr)
     return out if out.ndim else float(out)
 
 
-def _base_uniforms(n_samples, dim, seed):
-    rng = np.random.default_rng(seed)
-    return rng, open_unit(rng, (n_samples, dim))
+def _check_open_unit(p) -> None:
+    # NaN fails both comparisons, so two reductions cover every bad value.
+    if p.size and not (p.min() > 0.0 and p.max() < 1.0):
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+
+
+def _quantile_in_place(p) -> None:
+    """``p[...] = inverse_normal_cdf(p)``: the same check and bits, no copy."""
+    _check_open_unit(p)
+    ndtri(p, out=p)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Threads that share the per-column work of a large batch: one per usable
+# CPU, at most 2 (the count that was measured).
+_THREADS = min(_usable_cpus(), 2)
+# Batches of fewer elements run on the calling thread alone: on a 2-core
+# box, handing work to a worker thread cost more than it saved below
+# about 40k elements for lhs and 60k for srs. Every probe batch of a d = 64
+# attack (at most 229 x 64) stays below it.
+_SPLIT_ELEMENTS = 1 << 16
+# The columns are worked in chunks of about this many elements, so the
+# ranking temporaries stay small and in cache.
+_CHUNK_ELEMENTS = 1 << 15
+
+_pool_lock = threading.Lock()
+_pool_executor = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _pool_executor
+    with _pool_lock:
+        if _pool_executor is None:
+            _pool_executor = ThreadPoolExecutor(
+                _THREADS - 1, thread_name_prefix="lhsattack-sampler")
+        return _pool_executor
+
+
+def _drop_pool() -> None:
+    # A forked child has none of the parent's worker threads; it makes
+    # its own pool on first use.
+    global _pool_executor, _pool_lock
+    _pool_executor = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _by_columns(work, n_samples: int, dim: int) -> None:
+    """Call ``work(a, b)`` once for each chunk of columns ``a:b`` of ``dim``.
+
+    Below ``_SPLIT_ELEMENTS`` elements the calling thread does every chunk.
+    Above, the calling thread and ``_THREADS - 1`` pool threads take chunks
+    from one shared list until it is empty, so a thread that is slowed
+    down takes fewer. Every chunk has finished before this returns or
+    raises a chunk's exception.
+    """
+    step = max(1, _CHUNK_ELEMENTS // n_samples)
+    chunks = iter([(a, min(a + step, dim)) for a in range(0, dim, step)])
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                chunk = next(chunks, None)
+            if chunk is None:
+                return
+            work(*chunk)
+
+    if _THREADS < 2 or n_samples * dim < _SPLIT_ELEMENTS:
+        drain()
+        return
+    futures = [_pool().submit(drain) for _ in range(_THREADS - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+        for future in futures:
+            future.result()
 
 
 def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
@@ -126,32 +221,40 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
-    rng, base = _base_uniforms(n_samples, dim, seed)
-    strata = _column_ranks(base)
-    del base
-    # (strata + jitter) / n, formed in the jitter's buffer.
+    rng = np.random.default_rng(seed)
+    base = open_unit(rng, (n_samples, dim))
     q = open_unit(rng, (n_samples, dim))
-    q += strata
-    q /= n_samples
-    # A top-stratum jitter within 2^-47 of 1 rounds the quotient to 1.0,
-    # whose quantile is infinite.
-    np.minimum(q, _BELOW_ONE, out=q)
-    rows = inverse_normal_cdf(q)
-    return SampleBatch(rows=rows, sampler_kind=LHS, seed=int(seed),
+    # Column-major, so each column's ranks are written contiguously.
+    strata = np.empty((dim, n_samples), dtype=np.int64).T
+
+    def work(a, b):
+        _column_ranks(base[:, a:b], out=strata[:, a:b])
+        # (strata + jitter) / n, formed in the jitter's buffer.
+        qc = q[:, a:b]
+        qc += strata[:, a:b]
+        qc /= n_samples
+        # A top-stratum jitter within 2^-47 of 1 rounds the quotient to
+        # 1.0, whose quantile is infinite.
+        np.minimum(qc, _BELOW_ONE, out=qc)
+        _quantile_in_place(qc)
+
+    _by_columns(work, n_samples, dim)
+    return SampleBatch(rows=q, sampler_kind=LHS, seed=int(seed),
                        stratum_index=strata)
 
 
-def _column_ranks(base):
+def _column_ranks(base, out=None):
     """Rank of every entry within its column, equal to
     ``argsort(argsort(base, axis=0), axis=0)`` ties included.
 
     One argsort of the contiguous transpose orders each column; scattering
-    ``arange`` through that order inverts it.
+    ``arange`` through that order inverts it, into ``out`` if given.
     """
     order = np.ascontiguousarray(base.T).argsort(axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(base.shape[0]), axis=1)
-    return ranks.T
+    if out is None:
+        out = np.empty_like(order).T
+    np.put_along_axis(out.T, order, np.arange(base.shape[0]), axis=1)
+    return out
 
 
 def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
@@ -162,8 +265,9 @@ def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
-    _, base = _base_uniforms(n_samples, dim, seed)
-    rows = inverse_normal_cdf(base)
+    rows = open_unit(np.random.default_rng(seed), (n_samples, dim))
+
+    _by_columns(lambda a, b: _quantile_in_place(rows[:, a:b]), n_samples, dim)
     return SampleBatch(rows=rows, sampler_kind=SRS, seed=int(seed))
 
 

@@ -798,6 +798,11 @@ def test_attack_config_validation():
         AttackConfig(clip_low=1.0, clip_high=0.0)
 
 
+def test_attack_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"seed must be >= 0"):
+        AttackConfig(seed=-4)
+
+
 def test_distance_helper_agrees_with_reference():
     rng = np.random.default_rng(0)
     x = rng.uniform(size=30)

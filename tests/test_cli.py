@@ -338,6 +338,16 @@ def test_sample_lhs_diagnostics(capsys):
     assert "one_sample_per_stratum=yes" in stdout
 
 
+@pytest.mark.parametrize("command", [
+    ["attack", "--oracle", "hypersphere:r=0.5,m=3", "--budget", "50"],
+    ["sample", "--count", "4", "--dim", "2"],
+])
+@pytest.mark.parametrize("seed", ["-5", "-1", "x"])
+def test_negative_seed_is_rejected_naming_the_flag(capsys, command, seed):
+    assert main([*command, "--seed", seed]) == 1
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_sample_srs_has_no_stratum_line(capsys):
     rc = main(["sample", "--sampler", "srs", "--count", "8", "--dim", "4"])
     assert rc == 0

@@ -291,6 +291,19 @@ def _expect_config_error(tmp_path, text, match):
         parse_config(write_config(tmp_path, text, "bad.cfg"))
 
 
+def test_parse_rejects_negative_base_seed(tmp_path):
+    _expect_config_error(tmp_path, "[experiment]\nbase_seed = -3\n" + MINIMAL_TAIL,
+                         r"base_seed must be >= 0")
+
+
+@pytest.mark.parametrize("source", ["generate", "inline"])
+def test_parse_rejects_negative_points_seed(tmp_path, source):
+    points = ("source = generate\ncount = 2\ndim = 2\n" if source == "generate"
+              else "source = inline\nvalues = 0.5 0.5\n")
+    text = MINIMAL_TAIL.split("[points]")[0] + "[points]\n" + points + "seed = -1\n"
+    _expect_config_error(tmp_path, text, r"\[points\] points: seed must be >= 0")
+
+
 def test_parse_rejects_unknown_section(tmp_path):
     _expect_config_error(tmp_path, "[frobnicator]\nx = 1\n" + MINIMAL_TAIL,
                          r"unknown section")

@@ -1,10 +1,19 @@
 """Tests for the noise-vector samplers and the normal quantile transform."""
 
+import os
+import select
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from lhsattack import samplers
 from lhsattack.errors import DegenerateSampleError
+from lhsattack.rng import open_unit
 from lhsattack.samplers import (
     LHS,
     SRS,
@@ -22,6 +31,7 @@ from reference import (
     ref_ks_statistic,
     ref_lhs_normal,
     ref_normal_cdf,
+    ref_open_unit,
 )
 
 
@@ -220,11 +230,177 @@ def test_srs_moments_m10000():
     assert abs(batch.rows.var() - 1.0) < 0.05
 
 
+class ZeroingGenerator:
+    """``random`` of a real generator, with exact zeros in its first three
+    draws: a third of the first array, then every re-drawn value twice."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, shape):
+        u = self._rng.random(shape)
+        self.calls += 1
+        if self.calls == 1:
+            u.flat[::3] = 0.0
+        elif self.calls <= 3:
+            u[:] = 0.0
+        return u
+
+
+def test_open_unit_redraws_exact_zeros_like_reference():
+    rng = ZeroingGenerator(3)
+    got = open_unit(rng, (7, 5))
+    want = ref_open_unit(ZeroingGenerator(3), (7, 5))
+    assert rng.calls == 4
+    assert got.tobytes() == want.tobytes()
+    assert (got > 0.0).all()
+
+
 def test_srs_domain_errors():
     with pytest.raises(ValueError):
         srs_normal(0, 1, seed=0)
     with pytest.raises(ValueError):
         srs_normal(1, 0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Column blocks: batches of _SPLIT_ELEMENTS or more split over threads
+
+BOUND = samplers._SPLIT_ELEMENTS
+# Just below and at or above the bound; an odd column count; more rows than
+# one chunk holds.
+SPLIT_SHAPES = [(256, BOUND // 256 - 1), (256, BOUND // 256), (150, BOUND // 150 + 1),
+                (samplers._CHUNK_ELEMENTS + 7, 2)]
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_split_lhs_matches_reference_bit_for_bit(shape):
+    for seed in (0, 4242):
+        batch = lhs_normal(*shape, seed=seed)
+        rows, strata = ref_lhs_normal(*shape, seed)
+        assert batch.rows.tobytes() == rows.tobytes()
+        assert batch.stratum_index.dtype == strata.dtype
+        assert np.array_equal(batch.stratum_index, strata)
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_split_srs_matches_reference_bit_for_bit(shape):
+    for seed in (0, 4242):
+        base = ref_open_unit(np.random.default_rng(seed), shape)
+        assert srs_normal(*shape, seed=seed).rows.tobytes() == ndtri(base).tobytes()
+
+
+def test_split_lhs_breaks_ties_like_double_argsort(monkeypatch):
+    n, d = 150, BOUND // 150 + 1
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 3, size=(n, d)) / 4.0 + 0.125   # many ties
+    jitter = ref_open_unit(rng, (n, d))
+    draws = iter([base.copy(), jitter.copy()])
+    monkeypatch.setattr(samplers, "open_unit", lambda rng, shape: next(draws))
+    batch = lhs_normal(n, d, seed=0)
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    assert np.array_equal(batch.stratum_index, want)
+    assert batch.rows.tobytes() == ndtri((want + jitter) / n).tobytes()
+
+
+def test_small_batches_start_no_thread(monkeypatch):
+    monkeypatch.setattr(samplers, "_pool", lambda: pytest.fail("pool requested"))
+    before = threading.active_count()
+    for n in (100, 229):
+        lhs_normal(n, 64, seed=1)
+        srs_normal(n, 64, seed=1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+@pytest.mark.parametrize("column", [0, -1])
+def test_split_chunk_error_reaches_caller(monkeypatch, sampler, column):
+    # A zero uniform in one column fails the quantile's domain check in
+    # the chunk holding that column.
+    def zeroed(rng, shape):
+        u = open_unit(rng, shape)
+        u[:, column] = 0.0
+        return u
+
+    monkeypatch.setattr(samplers, "open_unit", zeroed)
+    with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+        sampler(150, BOUND // 150 + 1, seed=3)
+
+
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+def test_worker_thread_error_reaches_caller(monkeypatch, sampler):
+    quantile = samplers._quantile_in_place
+
+    def fails_off_main_thread(p):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.01)   # leave chunks for the worker
+        else:
+            raise ValueError("raised on a worker thread")
+        quantile(p)
+
+    monkeypatch.setattr(samplers, "_quantile_in_place", fails_off_main_thread)
+    with pytest.raises(ValueError, match="raised on a worker thread"):
+        sampler(150, BOUND // 150 + 1, seed=3)
+
+
+def test_concurrent_callers_share_the_pool():
+    # More calling threads than cores, switching as often as possible:
+    # every batch must still equal its one-caller draw.
+    shape = (150, BOUND // 150 + 1)
+    want = {seed: lhs_normal(*shape, seed=seed).rows.tobytes() for seed in range(6)}
+    got = {}
+
+    def draw(seed):
+        got[seed] = lhs_normal(*shape, seed=seed).rows.tobytes()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in want]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_the_same_large_batch():
+    shape = (150, BOUND // 150 + 1)
+    want = lhs_normal(*shape, seed=9).rows.tobytes()   # starts the pool
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = lhs_normal(*shape, seed=9).rows.tobytes()
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    got = bytearray()
+    try:
+        while select.select([read_end], [], [], 60.0)[0]:
+            chunk = os.read(read_end, 1 << 16)
+            if not chunk:
+                break
+            got += chunk
+        else:
+            os.kill(pid, 9)
+    finally:
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert bytes(got) == want
 
 
 # ---------------------------------------------------------------------------
