@@ -813,8 +813,9 @@ def serve_oracle(oracle: DecisionOracle, infile=None, outfile=None) -> int:
     Raises
     ------
     ProtocolError
-        On a bad handshake or a malformed request line. The replies to the
-        lines before a malformed one are written and flushed first.
+        On a bad handshake, or a request line that is malformed or holds a
+        non-finite value. The replies to the lines before it are written
+        and flushed first.
     """
     infile = sys.stdin.buffer if infile is None else infile
     outfile = sys.stdout.buffer if outfile is None else outfile
@@ -835,7 +836,13 @@ def serve_oracle(oracle: DecisionOracle, infile=None, outfile=None) -> int:
                 malformed = exc
                 break
         if rows:
-            decisions = metered.decide_batch(np.array(rows), PHASE_INIT)
+            X = np.array(rows)
+            finite = np.isfinite(X).all(axis=1)
+            if not finite.all():
+                # The first such line comes before any malformed one.
+                X = X[:finite.argmin()]
+                malformed = ProtocolError("non-finite value in request line")
+            decisions = metered.decide_batch(X, PHASE_INIT)
             out += [b"+1\n" if d > 0 else b"-1\n" for d in decisions.tolist()]
         if out:
             outfile.write(b"".join(out))

@@ -31,7 +31,8 @@ def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     cell) are re-drawn so downstream quantile transforms stay finite.
     """
     u = rng.random(shape)
-    while not u.all():
+    # ``random`` returns no negative value or NaN, so this is ``u.all()``.
+    while not u.min() > 0.0:
         mask = u == 0.0
         u[mask] = rng.random(int(mask.sum()))
     return u

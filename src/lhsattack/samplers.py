@@ -17,6 +17,10 @@ thread share the chunks. Both write in place into arrays the caller
 allocated. Every value is computed by the same elementwise or per-column
 operation whichever thread does it, so the batch is bit-identical. Smaller
 batches, such as every probe batch at d = 64, run on the calling thread.
+
+``scipy.special`` is imported by the first call that needs ``ndtri`` or
+``ndtr``, on the calling thread, so importing the package (and serving an
+oracle over the line protocol, which never samples) does not load scipy.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateSampleError
 from .rng import open_unit
@@ -47,6 +50,19 @@ LHS = "lhs"
 SRS = "srs"
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# scipy.special's ndtr and ndtri, set by _load_special on first use.
+_ndtr = _ndtri = None
+
+
+def _load_special() -> None:
+    """Import ``scipy.special`` once, before any chunk reaches a worker."""
+    global _ndtr, _ndtri
+    if _ndtri is None:
+        from scipy.special import ndtr, ndtri
+        # _ndtri is bound last, so a thread that sees it set sees both; two
+        # first callers at once just import twice.
+        _ndtr, _ndtri = ndtr, ndtri
 
 
 @dataclass
@@ -84,7 +100,8 @@ class SampleBatch:
 
 def normal_cdf(z):
     """Standard normal CDF (scipy's ``ndtr``). Accepts scalars or arrays."""
-    out = ndtr(np.asarray(z, dtype=np.float64))
+    _load_special()
+    out = _ndtr(np.asarray(z, dtype=np.float64))
     return out if out.ndim else float(out)
 
 
@@ -110,7 +127,8 @@ def inverse_normal_cdf(p):
     """
     arr = np.asarray(p, dtype=np.float64)
     _check_open_unit(arr)
-    out = ndtri(arr)
+    _load_special()
+    out = _ndtri(arr)
     return out if out.ndim else float(out)
 
 
@@ -121,9 +139,12 @@ def _check_open_unit(p) -> None:
 
 
 def _quantile_in_place(p) -> None:
-    """``p[...] = inverse_normal_cdf(p)``: the same check and bits, no copy."""
+    """``p[...] = inverse_normal_cdf(p)``: the same check and bits, no copy.
+
+    The caller has run :func:`_load_special`.
+    """
     _check_open_unit(p)
-    ndtri(p, out=p)
+    _ndtri(p, out=p)
 
 
 def _usable_cpus() -> int:
@@ -221,6 +242,7 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
+    _load_special()
     rng = np.random.default_rng(seed)
     base = open_unit(rng, (n_samples, dim))
     q = open_unit(rng, (n_samples, dim))
@@ -265,6 +287,7 @@ def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
+    _load_special()
     rows = open_unit(np.random.default_rng(seed), (n_samples, dim))
 
     _by_columns(lambda a, b: _quantile_in_place(rows[:, a:b]), n_samples, dim)

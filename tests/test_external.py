@@ -505,6 +505,20 @@ def test_serve_writes_the_good_replies_before_a_malformed_line():
     assert out.log == [b"OK\n+1\n-1\n", "flush"]
 
 
+@pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+def test_serve_rejects_a_non_finite_request_after_the_good_ones(mlp_fixture_path, token):
+    # The MLP kernel would answer nan and warn on inf, so the check comes first.
+    oracle = MlpOracle(load_mlp(mlp_fixture_path), original_class=0)
+    good = b" ".join([b"0.5"] * oracle.dim) + b"\n"
+    bad = token + good[3:]
+    out = Writes()
+    request = Reads(b"HELLO m=%d\n" % oracle.dim + good + bad + good)
+    with pytest.raises(ProtocolError, match="non-finite"):
+        serve_oracle(oracle, infile=request, outfile=out)
+    reply = b"%+d\n" % oracle._decide(np.full(oracle.dim, 0.5))
+    assert out.log == [b"OK\n" + reply, "flush"]
+
+
 def test_serve_counts_every_decision_across_reads():
     rng = np.random.default_rng(25)
     X = rng.uniform(size=(300, 3))
