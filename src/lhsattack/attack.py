@@ -119,8 +119,8 @@ class AttackConfig:
             raise ValueError("initial_samples must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.bisect_tol is not None and not 0.0 < self.bisect_tol < 1.0:
-            raise ValueError("bisect_tol must lie in (0, 1)")
+        if self.bisect_tol is not None:
+            _check_bisect_tol(self.bisect_tol)
         if self.max_queries is not None and self.max_queries < 1:
             raise ValueError("max_queries must be >= 1")
         if self.sampler_kind not in _SAMPLERS:
@@ -131,8 +131,18 @@ class AttackConfig:
             raise ValueError("max_init_tries must be >= 1")
         if self.max_step_retries < 0:
             raise ValueError("max_step_retries must be >= 0")
+        # Not finite when either bound is not, or when the width overflows.
+        if not math.isfinite(float(self.clip_high) - float(self.clip_low)):
+            raise ValueError("clip_low, clip_high and clip_high - clip_low must be finite")
         if not self.clip_low < self.clip_high:
             raise ValueError("clip_low must be < clip_high")
+
+
+def _check_bisect_tol(tol: float) -> None:
+    """Reject a bisection tolerance whose step count ceil(log2(1/tol)) overflows."""
+    if not (0.0 < tol < 1.0 and math.isfinite(1.0 / float(tol))):
+        raise ValueError("bisect_tol must lie in (0, 1) and be at least about "
+                         "5.6e-309, so that 1/bisect_tol is finite")
 
 
 @dataclass
@@ -298,8 +308,9 @@ def bin_search(x_adv, original, oracle: MeteredOracle, tol: float,
     The blend parameter alpha runs from 0 (the adversarial input) to 1
     (the original); the bracket keeps its low end adversarial and shrinks
     by half per query until its width is <= ``tol``, which costs exactly
-    ceil(log2(1/tol)) queries. The returned point is the adversarial low
-    end of the final bracket, blended and clipped.
+    ceil(log2(1/tol)) queries; ``tol`` lies in (0, 1) with 1/tol finite.
+    The returned point is the adversarial low end of the final bracket,
+    blended and clipped.
 
     Callers guarantee decide(x_adv) = +1 and decide(original) = -1; the
     preconditions are not re-queried here, keeping the cost exact.
@@ -308,8 +319,7 @@ def bin_search(x_adv, original, oracle: MeteredOracle, tol: float,
     original = np.asarray(original, dtype=np.float64)
     if x_adv.shape != original.shape or x_adv.shape != (oracle.dim,):
         raise ValueError("endpoint dimensions do not match the oracle")
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tolerance must lie in (0, 1)")
+    _check_bisect_tol(tol)
     steps = math.ceil(math.log2(1.0 / tol))
     lo, hi = 0.0, 1.0
     for _ in range(steps):

@@ -19,8 +19,9 @@ Oracle argument grammar (shared by ``attack`` and ``oracle-serve``)::
 The keys, their aliases and value types come from the table in
 ``harness.OracleSpecConfig``. Each field may be given once, under one
 spelling. ``m``/``dim``, ``w`` and ``center`` each imply the input
-dimension. ``timeout`` (seconds, default 10) must be > 0; ``r`` must be
-> 0, and every number must be finite.
+dimension. ``timeout`` (seconds, default 10) must be > 0 and at most
+``oracles.MAX_TIMEOUT_S`` (9223372036 on Linux); ``r`` must be > 0, and
+every number must be finite.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -73,15 +74,21 @@ def _err(msg: str) -> None:
     print(f"lhsattack: {msg}", file=sys.stderr)
 
 
-def _seed(text: str) -> int:
-    """argparse type of ``--seed``: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, means: str):
+    """argparse type: an integer >= ``low``; ``means`` names it in errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {means}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0, "a non-negative integer")
+_dim = _int_at_least(1, "a positive integer")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -131,7 +138,7 @@ def _resolve_dim(spec: OracleSpecConfig, point, dim_flag, model_cache) -> int:
     candidates = [d for _, d in spec.implied_dims()]
     if point is not None:
         candidates.append(len(point))
-    if dim_flag:
+    if dim_flag is not None:
         candidates.append(dim_flag)
     if spec.kind == "mlp":
         if spec.weights not in model_cache:
@@ -166,6 +173,21 @@ def cmd_attack(args) -> int:
     target_image = None
     if args.target_image is not None:
         target_image = load_points_file(args.target_image)[0]
+    # Checked before any point is drawn or any query is spent.
+    config = AttackConfig(
+        initial_samples=args.initial_samples,
+        iterations=args.iterations,
+        bisect_tol=args.bisect_tol,
+        max_queries=args.budget,
+        sampler_kind=args.sampler,
+        mode=args.mode,
+        seed=args.seed,
+        init_target_image=target_image,
+        max_init_tries=args.max_init_tries,
+        max_step_retries=args.max_step_retries,
+        clip_low=args.clip_low,
+        clip_high=args.clip_high,
+    )
 
     # One external child serves every query; in-process oracles are built
     # around each candidate original.
@@ -185,20 +207,6 @@ def cmd_attack(args) -> int:
             raise ConfigError("original point is already adversarial for this oracle")
 
         oracle = oracle_for(point)
-        config = AttackConfig(
-            initial_samples=args.initial_samples,
-            iterations=args.iterations,
-            bisect_tol=args.bisect_tol,
-            max_queries=args.budget,
-            sampler_kind=args.sampler,
-            mode=args.mode,
-            seed=args.seed,
-            init_target_image=target_image,
-            max_init_tries=args.max_init_tries,
-            max_step_retries=args.max_step_retries,
-            clip_low=args.clip_low,
-            clip_high=args.clip_high,
-        )
         try:
             best, trace = run_attack(oracle, point, config)
         except (InitFailedError, OracleFailedError) as exc:
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--point", help="original point as space-separated floats")
     p.add_argument("--point-file", help="float-line file; first line is the original")
-    p.add_argument("--dim", type=int, help="input dimension when not implied")
+    p.add_argument("--dim", type=_dim, help="input dimension when not implied")
     p.add_argument("--iterations", type=int, default=64)
     p.add_argument("--initial-samples", type=int, default=100)
     p.add_argument("--bisect-tol", type=float, default=None)

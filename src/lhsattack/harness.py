@@ -34,6 +34,7 @@ from .errors import (
     OracleFailedError,
 )
 from .oracles import (
+    MAX_TIMEOUT_S,
     PHASE_INIT,
     UNTARGETED,
     ExternalOracle,
@@ -103,6 +104,8 @@ SIZE = _ValueType(int, lambda v: v >= 1, "an integer >= 1")
 INDEX = _ValueType(int, lambda v: v >= 0, "an integer >= 0")
 FINITE = _ValueType(float, np.isfinite, "finite", _fmt)
 POSITIVE = _ValueType(float, lambda v: np.isfinite(v) and v > 0.0, "positive and finite", _fmt)
+TIMEOUT = _ValueType(float, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
+                     f"positive and finite, at most {int(MAX_TIMEOUT_S)} s", _fmt)
 STRING = _ValueType(str, lambda v: True, "a string")
 VECTOR = _ValueType(None, lambda v: v.ndim == 1 and v.size > 0 and np.isfinite(v).all(),
                     "a non-empty vector of finite values",
@@ -133,7 +136,7 @@ class OracleSpecConfig:
     offset: float | None = _spec_field(FINITE, "b")
     weights: str | None = _spec_field(STRING)
     cmd: str | None = _spec_field(STRING)
-    timeout: float = _spec_field(POSITIVE, default=10.0)
+    timeout: float = _spec_field(TIMEOUT, default=10.0)
     target_class: int | None = _spec_field(INDEX, "target")
     dim: int | None = _spec_field(SIZE, "m")
     # The two below matter when no original point is in play (oracle-serve):

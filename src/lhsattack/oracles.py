@@ -57,6 +57,7 @@ __all__ = [
     "HypersphereOracle",
     "MlpOracle",
     "ExternalOracle",
+    "MAX_TIMEOUT_S",
     "true_gradient",
     "MlpLayer",
     "MlpModel",
@@ -87,14 +88,13 @@ class QueryLedger:
 
     ``per_phase`` maps each phase label (init, binsearch, gradient, step)
     to the number of oracle calls charged to it; ``total_queries`` is their
-    sum, maintained incrementally. Increments are atomic, so one ledger can
-    serve concurrent callers.
+    sum, maintained incrementally. It belongs to one :class:`MeteredOracle`
+    and is used from one thread, so it takes no lock.
     """
 
-    __slots__ = ("_lock", "per_phase", "_total")
+    __slots__ = ("per_phase", "_total")
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.per_phase = {p: 0 for p in PHASES}
         self._total = 0
 
@@ -106,14 +106,12 @@ class QueryLedger:
         """Charge ``count`` queries to ``phase``."""
         if phase not in self.per_phase:
             raise ValueError(f"unknown query phase {phase!r}; expected one of {PHASES}")
-        with self._lock:
-            self.per_phase[phase] += count
-            self._total += count
+        self.per_phase[phase] += count
+        self._total += count
 
     def snapshot(self) -> dict:
-        """A consistent copy of the per-phase counts."""
-        with self._lock:
-            return dict(self.per_phase)
+        """A copy of the per-phase counts."""
+        return dict(self.per_phase)
 
     def __repr__(self):
         return f"QueryLedger(total={self._total}, per_phase={self.per_phase})"
@@ -152,6 +150,9 @@ class MeteredOracle:
     budget enforcement and query accounting live in one place. The cap is
     checked *before* each query, and crossing it raises
     :class:`QueryBudgetExceededError` without spending the query.
+
+    One thread uses it and its ledger: the cap check and the charge are
+    separate steps, so threads must not share one.
     """
 
     def __init__(self, oracle: DecisionOracle, max_queries: int | None = None):
@@ -583,6 +584,9 @@ _CHUNK_ROWS = 16
 # Seconds a child whose pipe closed gets to exit, so its status is reported.
 _EXIT_WAIT_S = 1.0
 
+# The longest reply timeout, in seconds: select() rejects one much longer.
+MAX_TIMEOUT_S = threading.TIMEOUT_MAX
+
 
 def format_floats(values) -> str:
     """Render a float vector at 17 significant digits, space-separated.
@@ -628,12 +632,13 @@ class ExternalOracle(DecisionOracle):
 
     The child is spawned lazily on the first query (or via :meth:`start`)
     and is reaped by :meth:`close`; the class doubles as a context
-    manager. A reply slower than ``timeout`` seconds, a dead pipe (the
-    error names the child's exit status once it has exited), or an
-    unlaunchable command raises :class:`OracleFailedError`; a reply that
-    is not ``+1``/``-1`` raises :class:`ProtocolError`. Either failure
-    kills the child and drops its unread output, so no stale reply can
-    answer a later query; the next query spawns a fresh child.
+    manager. ``timeout`` must lie in (0, :data:`MAX_TIMEOUT_S`]. A reply
+    slower than ``timeout`` seconds, a dead pipe (the error names the
+    child's exit status once it has exited), or an unlaunchable command
+    raises :class:`OracleFailedError`; a reply that is not ``+1``/``-1``
+    raises :class:`ProtocolError`. Either failure kills the child and drops
+    its unread output, so no stale reply can answer a later query; the next
+    query spawns a fresh child.
     """
 
     kind = "external"
@@ -644,6 +649,9 @@ class ExternalOracle(DecisionOracle):
         if not self.cmd:
             raise ValueError("external oracle command is empty")
         self.timeout = float(timeout)
+        if not 0.0 < self.timeout <= MAX_TIMEOUT_S:
+            raise ValueError(
+                f"timeout must be positive and at most {int(MAX_TIMEOUT_S)} s")
         self._proc = None
         self._buf = b""
 

@@ -294,6 +294,22 @@ def test_bin_search_cost_is_ceil_log2():
         assert result.alpha_gap <= tol
 
 
+@pytest.mark.parametrize("tol", [5.5e-309, 1e-320, 5e-324])
+def test_bin_search_rejects_tolerance_whose_inverse_overflows(tol):
+    oracle = MeteredOracle(HalfspaceOracle(np.array([1.0, 0.0]), offset=-0.5))
+    with pytest.raises(ValueError, match=r"bisect_tol"):
+        bin_search(np.array([0.9, 0.5]), np.array([0.1, 0.5]), oracle, tol=tol)
+    assert oracle.ledger.total_queries == 0
+
+
+def test_bin_search_smallest_tolerance_keeps_the_step_formula():
+    oracle = MeteredOracle(HalfspaceOracle(np.array([1.0, 0.0]), offset=-0.5))
+    tol = 5.6e-309
+    result = bin_search(np.array([0.9, 0.5]), np.array([0.1, 0.5]), oracle, tol=tol)
+    assert result.steps == math.ceil(math.log2(1.0 / tol)) == 1024
+    assert oracle.ledger.total_queries == 1024
+
+
 def test_bin_search_random_geometries_hit_analytic_crossing():
     for seed in range(30):
         w, b, x_adv, x_star = straddling_halfspace(seed=seed)
@@ -796,6 +812,25 @@ def test_attack_config_validation():
         AttackConfig(max_step_retries=-1)
     with pytest.raises(ValueError):
         AttackConfig(clip_low=1.0, clip_high=0.0)
+
+
+@pytest.mark.parametrize("box", [
+    {"clip_low": -math.inf, "clip_high": math.inf},
+    {"clip_high": math.inf},
+    {"clip_low": math.nan},
+    {"clip_low": -1e308, "clip_high": 1e308},
+    {"clip_low": np.float64(-1e308), "clip_high": np.float64(1e308)},
+])
+def test_attack_config_rejects_non_finite_or_overflowing_box(box):
+    with pytest.raises(ValueError, match=r"clip_low, clip_high and clip_high - clip_low must be finite"):
+        AttackConfig(**box)
+
+
+def test_attack_config_bisect_tol_limit():
+    assert AttackConfig(bisect_tol=5.6e-309).bisect_tol == 5.6e-309
+    for tol in (5.5e-309, 1e-320, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"bisect_tol must lie in \(0, 1\)"):
+            AttackConfig(bisect_tol=tol)
 
 
 def test_attack_config_rejects_negative_seed():

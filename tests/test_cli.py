@@ -1,5 +1,6 @@
 """Tests for the command-line interface: spec grammar, subcommands, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,7 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("external:m=2,timeout=0,cmd=run-me", r"timeout must be positive"),
     ("external:m=2,timeout=-1,cmd=run-me", r"timeout must be positive"),
     ("external:m=2,timeout=nan,cmd=run-me", r"timeout must be positive and finite"),
+    ("external:m=2,timeout=1e300,cmd=run-me", r"timeout must be .* at most 9223372036 s"),
     ("halfspace:w=1;0,b=nan", r"offset must be finite"),
     ("hypersphere:r=0.5,center=0.5;nan", r"center must be .*finite"),
     ("hypersphere:r=0.5,radius=0.7", r"radius given more than once"),
@@ -173,6 +175,31 @@ def test_attack_rejects_non_finite_point_files(tmp_path, capsys, flag):
                "--budget", "50", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert f"{pts}:2: coordinates must be finite" in capsys.readouterr().err
+
+
+BAD_BOX = r"clip_low, clip_high and clip_high - clip_low must be finite"
+
+
+@pytest.mark.parametrize("flags,match", [
+    (["--clip-low=-inf", "--clip-high=inf"], BAD_BOX),
+    (["--clip-high=inf"], BAD_BOX),
+    (["--clip-low=nan"], BAD_BOX),
+    (["--clip-low=-1e308", "--clip-high=1e308"], BAD_BOX),
+    (["--bisect-tol", "1e-320"], r"bisect_tol must lie in \(0, 1\) and be at least"),
+])
+def test_attack_rejects_bad_box_or_tolerance_before_any_query(
+        tmp_path, capsys, monkeypatch, flags, match):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr("lhsattack.cli.generate_points", no_draws)
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5,m=3", *flags,
+               "--budget", "50", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lhsattack: ")
+    assert re.search(match, err[0])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_attack_conflicting_dims(tmp_path, capsys):
@@ -346,6 +373,15 @@ def test_sample_lhs_diagnostics(capsys):
 def test_negative_seed_is_rejected_naming_the_flag(capsys, command, seed):
     assert main([*command, "--seed", seed]) == 1
     assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["0", "-3", "x"])
+def test_dim_below_one_is_rejected_naming_the_flag(tmp_path, capsys, dim):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5", "--dim", dim,
+               "--budget", "50", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "argument --dim: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sample_srs_has_no_stratum_line(capsys):

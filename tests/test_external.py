@@ -30,6 +30,7 @@ from lhsattack.oracles import (
     PHASES,
     ExternalOracle,
     HalfspaceOracle,
+    MAX_TIMEOUT_S,
     HypersphereOracle,
     MeteredOracle,
     MlpOracle,
@@ -287,6 +288,18 @@ def test_command_as_shell_string(tmp_path):
 def test_empty_command_rejected():
     with pytest.raises(ValueError):
         ExternalOracle([], dim=2)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), 1e300,
+                                     MAX_TIMEOUT_S + 1.0])
+def test_timeout_outside_what_select_accepts_rejected(timeout):
+    with pytest.raises(ValueError, match=r"timeout must be positive and at most"):
+        ExternalOracle(["run-me"], dim=2, timeout=timeout)
+
+
+def test_longest_timeout_is_accepted_by_a_query(tmp_path):
+    with ExternalOracle(stub(tmp_path, ALWAYS_PLUS), dim=2, timeout=MAX_TIMEOUT_S) as oracle:
+        assert MeteredOracle(oracle).decide(np.array([0.5, 0.5]), PHASE_INIT) == 1
 
 
 # ---------------------------------------------------------------------------

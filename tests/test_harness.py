@@ -329,6 +329,20 @@ def test_parse_rejects_unknown_attack_key(tmp_path):
                          r"unknown key 'speed'")
 
 
+BAD_BOX = r"clip_low, clip_high and clip_high - clip_low must be finite"
+
+
+@pytest.mark.parametrize("attack_section,match", [
+    ("clip_high = inf\n", BAD_BOX),
+    ("clip_low = -inf\nclip_high = inf\n", BAD_BOX),
+    ("clip_low = -1e308\nclip_high = 1e308\n", BAD_BOX),
+    ("bisect_tol = 1e-320\n", r"bisect_tol must lie in \(0, 1\) and be at least"),
+])
+def test_parse_rejects_bad_box_or_tolerance(tmp_path, attack_section, match):
+    _expect_config_error(tmp_path, MINIMAL_TAIL + "\n[attack]\n" + attack_section,
+                         r"\[attack\] " + match)
+
+
 def test_parse_requires_points_section(tmp_path):
     _expect_config_error(
         tmp_path, "[oracle ball]\nkind = hypersphere\nradius = 0.5\n",
@@ -394,6 +408,7 @@ def test_parse_rejects_duplicate_oracle_names(tmp_path):
     ("kind = external\ncmd = run-me\ntimeout = 0\n", r"timeout must be positive"),
     ("kind = external\ncmd = run-me\ntimeout = -1\n", r"timeout must be positive"),
     ("kind = external\ncmd = run-me\ntimeout = nan\n", r"timeout must be positive and finite"),
+    ("kind = external\ncmd = run-me\ntimeout = 1e300\n", r"timeout must be .* at most 9223372036 s"),
     ("kind = hypersphere\nr = 0.5\nradius = 0.7\n", r"radius given more than once"),
     ("kind = halfspace\nw = 1 0\nnormal = 1 0\nb = 0\n", r"normal given more than once"),
     ("kind = hypersphere\nradius = abc\n", r"bad value for 'radius'"),

@@ -1,7 +1,5 @@
 """Tests for decision oracles, query accounting, and the weights format."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -76,22 +74,6 @@ def test_ledger_rejects_unknown_phase():
     with pytest.raises(ValueError):
         ledger.record("warmup")
     assert ledger.total_queries == 0
-
-
-def test_ledger_concurrent_increments_exact():
-    ledger = QueryLedger()
-
-    def worker():
-        for _ in range(1000):
-            ledger.record(PHASE_GRADIENT)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert ledger.total_queries == 4000
-    assert ledger.snapshot()["gradient"] == 4000
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from lhsattack.cli import parse_oracle_spec
 from lhsattack.errors import ConfigError
 from lhsattack.harness import ORACLE_KINDS, SPEC_KEYS, parse_config, serialize_config
+from lhsattack.oracles import MAX_TIMEOUT_S
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # Halfspace values: a normal and offset whose |.| sum overflows are invalid.
 bounded = st.floats(min_value=-1e300, max_value=1e300)
 positive = st.floats(min_value=1e-300, max_value=1e300)
+# External timeouts: select() takes none longer than MAX_TIMEOUT_S.
+timeout = st.floats(min_value=1e-300, max_value=MAX_TIMEOUT_S)
 word = st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)
 
 
@@ -49,7 +52,7 @@ def oracle_section(draw, name, dim):
     else:
         lines.append(f"cmd = {draw(word)} {draw(word)}")
         if draw(st.booleans()):
-            lines.append(f"timeout = {draw(positive)!r}")
+            lines.append(f"timeout = {draw(timeout)!r}")
     if draw(st.booleans()):
         lines.append(f"{draw(spelling('dim', 'm'))} = {dim}")
     return lines
