@@ -79,7 +79,7 @@ class AttackConfig:
         Number of boundary-walk iterations after the initial projection.
     bisect_tol : float or None
         Stopping width for the bisection bracket, in the [0, 1] blend
-        parameter. ``None`` selects dim ** -1.5 at run time.
+        parameter; at least 2**-53. ``None`` selects dim ** -1.5 at run time.
     max_queries : int or None
         Hard cap on total oracle queries; ``None`` means unlimited.
     sampler_kind : str
@@ -139,10 +139,14 @@ class AttackConfig:
 
 
 def _check_bisect_tol(tol: float) -> None:
-    """Reject a bisection tolerance whose step count ceil(log2(1/tol)) overflows."""
-    if not (0.0 < tol < 1.0 and math.isfinite(1.0 / float(tol))):
-        raise ValueError("bisect_tol must lie in (0, 1) and be at least about "
-                         "5.6e-309, so that 1/bisect_tol is finite")
+    """Reject a bisection tolerance the bracket cannot reach.
+
+    Near alpha = 1 the midpoint stops moving once the bracket is 2**-53
+    wide, so a smaller ``tol`` would spend queries and still end wider.
+    """
+    if not 2.0 ** -53 <= tol < 1.0:
+        raise ValueError("bisect_tol must lie in (0, 1) and be at least 2**-53 "
+                         "(about 1.1e-16), the narrowest bracket bisection reaches")
 
 
 @dataclass
@@ -308,7 +312,7 @@ def bin_search(x_adv, original, oracle: MeteredOracle, tol: float,
     The blend parameter alpha runs from 0 (the adversarial input) to 1
     (the original); the bracket keeps its low end adversarial and shrinks
     by half per query until its width is <= ``tol``, which costs exactly
-    ceil(log2(1/tol)) queries; ``tol`` lies in (0, 1) with 1/tol finite.
+    ceil(log2(1/tol)) queries, at most 53; ``tol`` lies in [2**-53, 1).
     The returned point is the adversarial low end of the final bracket,
     blended and clipped.
 

@@ -41,6 +41,7 @@ from .errors import (
     WeightsFormatError,
 )
 from .harness import (
+    ATTACK_KEYS,
     SPEC_KEYS,
     OracleSpecConfig,
     build_oracle,
@@ -175,19 +176,9 @@ def cmd_attack(args) -> int:
         target_image = load_points_file(args.target_image)[0]
     # Checked before any point is drawn or any query is spent.
     config = AttackConfig(
-        initial_samples=args.initial_samples,
-        iterations=args.iterations,
-        bisect_tol=args.bisect_tol,
-        max_queries=args.budget,
-        sampler_kind=args.sampler,
-        mode=args.mode,
-        seed=args.seed,
+        max_queries=args.budget, sampler_kind=args.sampler, seed=args.seed,
         init_target_image=target_image,
-        max_init_tries=args.max_init_tries,
-        max_step_retries=args.max_step_retries,
-        clip_low=args.clip_low,
-        clip_high=args.clip_high,
-    )
+        **{key: value for key, value in vars(args).items() if key in ATTACK_KEYS})
 
     # One external child serves every query; in-process oracles are built
     # around each candidate original.
@@ -201,8 +192,8 @@ def cmd_attack(args) -> int:
 
     try:
         if point is None:
-            point = generate_points(1, spec.dim, args.seed, args.clip_low,
-                                    args.clip_high, accept=acceptable)[0]
+            point = generate_points(1, spec.dim, args.seed, config.clip_low,
+                                    config.clip_high, accept=acceptable)[0]
         elif not acceptable(point):
             raise ConfigError("original point is already adversarial for this oracle")
 
@@ -286,16 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="original point as space-separated floats")
     p.add_argument("--point-file", help="float-line file; first line is the original")
     p.add_argument("--dim", type=_dim, help="input dimension when not implied")
-    p.add_argument("--iterations", type=int, default=64)
-    p.add_argument("--initial-samples", type=int, default=100)
-    p.add_argument("--bisect-tol", type=float, default=None)
-    p.add_argument("--mode", choices=(UNTARGETED, TARGETED), default=UNTARGETED)
     p.add_argument("--target-class", type=int, default=None)
     p.add_argument("--target-image", help="float-line file with the targeted start")
-    p.add_argument("--max-init-tries", type=int, default=1000)
-    p.add_argument("--max-step-retries", type=int, default=30)
-    p.add_argument("--clip-low", type=float, default=0.0)
-    p.add_argument("--clip-high", type=float, default=1.0)
+    # The [attack] keys, --budget aside; a flag left out keeps AttackConfig's default.
+    for key, row in ATTACK_KEYS.items():
+        if key != "max_queries":
+            p.add_argument("--" + key.replace("_", "-"), type=row.read,
+                           choices=(UNTARGETED, TARGETED) if key == "mode" else None,
+                           default=argparse.SUPPRESS)
     p.add_argument("--out", default="trace.csv", help="trace CSV path")
     p.set_defaults(func=cmd_attack)
 

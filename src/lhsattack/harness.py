@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +218,7 @@ SPEC_KEYS = {key: f for f in SPEC_FIELDS for key in (f.name, *f.metadata["aliase
 class PointsConfig:
     """Where the original points come from: generated, inline, or a file."""
 
-    source: str
+    source: str = "generate"
     count: int = 0
     dim: int = 0
     seed: int = 0
@@ -278,6 +279,10 @@ class ExperimentConfig:
             raise ConfigError(f"samplers must be drawn from ('{LHS}', '{SRS}')")
         if not self.statistics or any(s not in STATISTICS for s in self.statistics):
             raise ConfigError(f"statistics must be drawn from {STATISTICS}")
+        for key in ("budgets", "samplers", "statistics"):
+            entries = getattr(self, key)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{key} must not repeat an entry")
         names = [o.name for o in self.oracles]
         if len(set(names)) != len(names):
             raise ConfigError("oracle section names must be unique")
@@ -324,21 +329,36 @@ class ExperimentResult:
 # Config file parsing
 
 
-_EXPERIMENT_KEYS = {"name", "repetitions", "base_seed", "output_dir", "budgets",
-                    "samplers", "statistics"}
-_POINTS_KEYS = {"source", "count", "dim", "seed", "file", "values"}
-_ATTACK_KEYS = {"initial_samples", "iterations", "bisect_tol", "max_queries",
-                "mode", "max_init_tries", "max_step_retries", "clip_low",
-                "clip_high"}
+def _float_list(text: str) -> np.ndarray:
+    return np.array([float(t) for t in text.split()], dtype=np.float64)
 
 
-def _typed(section, key, conv, default=None):
-    if key not in section or section[key].strip() == "":
-        return default
-    try:
-        return conv(section[key].strip())
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+def _list_of(conv):
+    """Reader of a list-valued key: entries split on whitespace and/or commas."""
+    return lambda text: [conv(t) for t in text.replace(",", " ").split()]
+
+
+def _join(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+# A row of a section's key table: reads a value from text, writes it back.
+_Key = namedtuple("_Key", "read write", defaults=(str,))
+_INT, _FLOAT, _TEXT = _Key(int), _Key(float, _fmt), _Key(str)
+_WORDS = _Key(_list_of(str), _join)
+
+# One table per section. Each key names the dataclass field it sets, and
+# the field holds the default; serialize_config writes the keys in table
+# order. ``cli`` makes the ``attack`` flags from ATTACK_KEYS.
+EXPERIMENT_KEYS = {"name": _TEXT, "repetitions": _INT, "base_seed": _INT, "output_dir": _TEXT,
+                   "budgets": _Key(_list_of(int), _join), "samplers": _WORDS,
+                   "statistics": _WORDS}
+POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file": _TEXT,
+               "values": _Key(lambda text: np.array(
+                   [_float_list(line) for line in text.splitlines() if line.strip()]))}
+ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
+               "max_queries": _INT, "mode": _TEXT, "max_init_tries": _INT,
+               "max_step_retries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
 
 
 def _check_keys(section, allowed):
@@ -347,13 +367,24 @@ def _check_keys(section, allowed):
             raise ConfigError(f"[{section.name}] unknown key {key!r}")
 
 
-def _float_list(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split()], dtype=np.float64)
+def _typed(section, key, conv):
+    try:
+        return conv(section[key].strip())
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
 
 
-def _word_list(text: str) -> list:
-    """Split a list-valued key on whitespace and/or commas."""
-    return [t for t in text.replace(",", " ").split() if t]
+def _read_section(section, keys) -> dict:
+    """The keys set in ``section``, read by their rows; an empty value means the default."""
+    _check_keys(section, keys)
+    return {key: _typed(section, key, row.read) for key, row in keys.items()
+            if section.get(key, "").strip()}
+
+
+def _write_section(obj, keys) -> list:
+    """``key = value`` lines for every table key whose value on ``obj`` is set."""
+    return [f"{key} = {row.write(getattr(obj, key))}" for key, row in keys.items()
+            if getattr(obj, key) is not None]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -380,21 +411,7 @@ def parse_config(path) -> ExperimentConfig:
     for name in cp.sections():
         section = cp[name]
         if name == "experiment":
-            _check_keys(section, _EXPERIMENT_KEYS)
-            exp_kwargs["name"] = section.get("name", "experiment").strip()
-            exp_kwargs["repetitions"] = _typed(section, "repetitions", int, 1)
-            exp_kwargs["base_seed"] = _typed(section, "base_seed", int, 0)
-            exp_kwargs["output_dir"] = section.get("output_dir", "out").strip()
-            budgets = _typed(section, "budgets",
-                             lambda s: [int(t) for t in _word_list(s)], None)
-            if budgets is not None:
-                exp_kwargs["budgets"] = budgets
-            samplers = _typed(section, "samplers", _word_list, None)
-            if samplers is not None:
-                exp_kwargs["samplers"] = samplers
-            stats = _typed(section, "statistics", _word_list, None)
-            if stats is not None:
-                exp_kwargs["statistics"] = stats
+            exp_kwargs = _read_section(section, EXPERIMENT_KEYS)
         elif name.startswith("oracle ") or name == "oracle":
             _check_keys(section, {"kind", *SPEC_KEYS})
             items = [(key, text.strip()) for key, text in section.items()
@@ -406,37 +423,14 @@ def parse_config(path) -> ExperimentConfig:
             except ConfigError as exc:
                 raise ConfigError(f"[{name}] {exc}") from None
         elif name == "points":
-            _check_keys(section, _POINTS_KEYS)
-            values = section.get("values", "").strip()
-            rows = None
-            if values:
-                try:
-                    rows = np.array([_float_list(line)
-                                     for line in values.splitlines() if line.strip()])
-                except ValueError as exc:
-                    raise ConfigError(f"[points] values: {exc}") from exc
+            points_kwargs = _read_section(section, POINTS_KEYS)
             try:
-                points = PointsConfig(
-                    source=section.get("source", "generate").strip(),
-                    count=_typed(section, "count", int, 0),
-                    dim=_typed(section, "dim", int, 0),
-                    seed=_typed(section, "seed", int, 0),
-                    file=section.get("file", "").strip() or None,
-                    values=rows,
-                )
+                points = PointsConfig(**points_kwargs)
             except ConfigError as exc:
                 raise ConfigError(f"[points] {exc}") from None
         elif name == "attack":
-            _check_keys(section, _ATTACK_KEYS)
-            for key, conv in (("initial_samples", int), ("iterations", int),
-                              ("bisect_tol", float), ("max_queries", int),
-                              ("max_init_tries", int), ("max_step_retries", int),
-                              ("clip_low", float), ("clip_high", float)):
-                val = _typed(section, key, conv)
-                if val is not None:
-                    attack_kwargs[key] = val
-            mode = section.get("mode", UNTARGETED).strip()
-            if mode != UNTARGETED:
+            attack_kwargs = _read_section(section, ATTACK_KEYS)
+            if attack_kwargs.get("mode") not in (None, UNTARGETED):
                 raise ConfigError(
                     "[attack] mode: benchmark configs support untargeted runs only; "
                     "use the library API for targeted attacks")
@@ -468,15 +462,7 @@ def _cross_validate(config: ExperimentConfig) -> None:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a config back to the INI grammar (parse . serialize = identity)."""
-    lines = ["[experiment]",
-             f"name = {config.name}",
-             f"repetitions = {config.repetitions}",
-             f"base_seed = {config.base_seed}",
-             f"output_dir = {config.output_dir}",
-             "budgets = " + " ".join(str(b) for b in config.budgets),
-             "samplers = " + " ".join(config.samplers),
-             "statistics = " + " ".join(config.statistics),
-             ""]
+    lines = ["[experiment]", *_write_section(config, EXPERIMENT_KEYS), ""]
     for spec in config.oracles:
         lines.append(f"[oracle {spec.name}]")
         lines.append(f"kind = {spec.kind}")
@@ -502,19 +488,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         for row in config.points.values:
             lines.append("    " + " ".join(_fmt(v) for v in row))
     lines.append("")
-    lines.append("[attack]")
-    a = config.attack
-    lines.append(f"initial_samples = {a.initial_samples}")
-    lines.append(f"iterations = {a.iterations}")
-    if a.bisect_tol is not None:
-        lines.append(f"bisect_tol = {_fmt(a.bisect_tol)}")
-    if a.max_queries is not None:
-        lines.append(f"max_queries = {a.max_queries}")
-    lines.append(f"mode = {a.mode}")
-    lines.append(f"max_init_tries = {a.max_init_tries}")
-    lines.append(f"max_step_retries = {a.max_step_retries}")
-    lines.append(f"clip_low = {_fmt(a.clip_low)}")
-    lines.append(f"clip_high = {_fmt(a.clip_high)}")
+    lines += ["[attack]", *_write_section(config.attack, ATTACK_KEYS)]
     return "\n".join(lines) + "\n"
 
 

@@ -304,10 +304,29 @@ def test_bin_search_rejects_tolerance_whose_inverse_overflows(tol):
 
 def test_bin_search_smallest_tolerance_keeps_the_step_formula():
     oracle = MeteredOracle(HalfspaceOracle(np.array([1.0, 0.0]), offset=-0.5))
-    tol = 5.6e-309
+    tol = 2.0 ** -53
     result = bin_search(np.array([0.9, 0.5]), np.array([0.1, 0.5]), oracle, tol=tol)
-    assert result.steps == math.ceil(math.log2(1.0 / tol)) == 1024
-    assert oracle.ledger.total_queries == 1024
+    assert result.steps == math.ceil(math.log2(1.0 / tol)) == 53
+    assert oracle.ledger.total_queries == 53
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-15])
+def test_bin_search_smallest_tolerance_is_reached_near_alpha_one(eps):
+    # The boundary x = 0.1 + eps sits a hair from the original (alpha ~ 1),
+    # where the float spacing of alpha is 2**-53: the bracket still ends <= tol.
+    oracle = MeteredOracle(HalfspaceOracle(np.array([1.0, 0.0]), offset=-(0.1 + eps)))
+    tol = 2.0 ** -53
+    result = bin_search(np.array([0.9, 0.5]), np.array([0.1, 0.5]), oracle, tol=tol)
+    assert result.steps == oracle.ledger.total_queries == 53
+    assert 0.0 < result.alpha_gap <= tol
+    assert result.alpha > 1.0 - 2.0 ** -40
+
+
+def test_bin_search_rejects_tolerance_below_the_float_spacing_at_one():
+    oracle = MeteredOracle(HalfspaceOracle(np.array([1.0, 0.0]), offset=-0.1))
+    with pytest.raises(ValueError, match=r"bisect_tol must lie in \(0, 1\) and be at least"):
+        bin_search(np.array([0.9, 0.5]), np.array([0.1, 0.5]), oracle, tol=1e-20)
+    assert oracle.ledger.total_queries == 0
 
 
 def test_bin_search_random_geometries_hit_analytic_crossing():
@@ -827,8 +846,8 @@ def test_attack_config_rejects_non_finite_or_overflowing_box(box):
 
 
 def test_attack_config_bisect_tol_limit():
-    assert AttackConfig(bisect_tol=5.6e-309).bisect_tol == 5.6e-309
-    for tol in (5.5e-309, 1e-320, 0.0, 1.0, math.nan):
+    assert AttackConfig(bisect_tol=2.0 ** -53).bisect_tol == 2.0 ** -53
+    for tol in (math.nextafter(2.0 ** -53, 0.0), 1e-20, 5.6e-309, 1e-320, 0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match=r"bisect_tol must lie in \(0, 1\)"):
             AttackConfig(bisect_tol=tol)
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: spec grammar, subcommands, exit codes."""
 
+import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -7,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from lhsattack.attack import run_attack
+from lhsattack.attack import AttackConfig, run_attack
 from lhsattack.cli import main, parse_oracle_spec
-from lhsattack.errors import ConfigError
+from lhsattack.errors import ConfigError, OracleFailedError
 from lhsattack.oracles import (
     PHASE_INIT,
     HalfspaceOracle,
@@ -260,6 +262,44 @@ def test_attack_generated_original_is_not_adversarial(tmp_path, capsys, monkeypa
     assert MeteredOracle(oracle).decide(original, PHASE_INIT) == -1
 
 
+TUNING_FLAGS = [("--initial-samples", "7", "initial_samples", 7),
+                ("--iterations", "3", "iterations", 3),
+                ("--bisect-tol", "0.01", "bisect_tol", 0.01),
+                ("--mode", "targeted", "mode", "targeted"),
+                ("--max-init-tries", "40", "max_init_tries", 40),
+                ("--max-step-retries", "5", "max_step_retries", 5),
+                ("--clip-low", "-0.5", "clip_low", -0.5),
+                ("--clip-high", "2", "clip_high", 2.0)]
+
+
+@pytest.mark.parametrize("flag", [None, *TUNING_FLAGS], ids=lambda f: f and f[0])
+def test_attack_flags_set_attack_config_fields(tmp_path, capsys, monkeypatch, flag):
+    # Without tuning flags every field keeps AttackConfig's default; each
+    # flag sets its own field and no other.
+    seen = []
+
+    def capture(oracle, original, config):
+        seen.append(config)
+        raise OracleFailedError("captured")
+
+    monkeypatch.setattr("lhsattack.cli.run_attack", capture)
+    args = [] if flag is None else [f"{flag[0]}={flag[1]}"]
+    target = tmp_path / "start.txt"
+    target.write_text("0.9 0.9 0.9\n")
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=3", "--point", "0.5 0.5 0.5",
+               "--budget", "77", "--sampler", "srs", "--seed", "9",
+               "--target-image", str(target), *args, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    capsys.readouterr()
+    [config] = seen
+    expected = AttackConfig(max_queries=77, sampler_kind="srs", seed=9,
+                            init_target_image=np.array([0.9, 0.9, 0.9]))
+    if flag is not None:
+        expected = dataclasses.replace(expected, **{flag[2]: flag[3]})
+    for f in dataclasses.fields(AttackConfig):
+        assert np.array_equal(getattr(config, f.name), getattr(expected, f.name)), f.name
+
+
 def test_attack_bad_weights_file_is_config_failure(tmp_path, capsys):
     weights = tmp_path / "w.txt"
     weights.write_text("not a weights file\n")
@@ -335,6 +375,31 @@ iterations = 4
     assert "sph srs budget=200 median=" in stdout
     assert f"summary written to {out_dir}" in stdout
     assert (out_dir / "summary.csv").exists()
+
+
+def test_bench_empty_output_dir_writes_to_out(tmp_path, capsys, monkeypatch):
+    (tmp_path / "exp.cfg").write_text("""\
+[experiment]
+budgets = 200
+output_dir =
+
+[oracle sph]
+kind = hypersphere
+radius = 0.25
+
+[points]
+source = inline
+values = 0.5 0.5 0.5
+
+[attack]
+initial_samples = 6
+iterations = 4
+""")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["bench", "exp.cfg"])
+    assert rc == 0
+    assert f"summary written to {os.path.join('out', 'summary.csv')}" in capsys.readouterr().out
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_bench_missing_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config grammar, oracle realization,
 point loading, CSV artifacts, and batch execution."""
 
+import dataclasses
 import os
 import shlex
 import sys
@@ -12,6 +13,9 @@ import lhsattack
 from lhsattack.attack import COMPLETED, AttackConfig, AttackTrace, TraceRow
 from lhsattack.errors import ConfigError
 from lhsattack.harness import (
+    ATTACK_KEYS,
+    EXPERIMENT_KEYS,
+    POINTS_KEYS,
     ExperimentConfig,
     OracleSpecConfig,
     PointsConfig,
@@ -271,6 +275,38 @@ values = 0.5 0.5
     assert a.statistics == b.statistics == ["median", "mean"]
 
 
+def test_key_tables_name_the_dataclass_fields():
+    def names(cls, *left_out):
+        return {f.name for f in dataclasses.fields(cls)} - set(left_out)
+
+    assert set(ATTACK_KEYS) == names(AttackConfig, "sampler_kind", "seed", "init_target_image")
+    assert set(EXPERIMENT_KEYS) == names(ExperimentConfig, "oracles", "points", "attack")
+    assert set(POINTS_KEYS) == names(PointsConfig)
+
+
+EMPTY_BASE = """\
+[experiment]
+[oracle ball]
+kind = hypersphere
+radius = 0.5
+[points]
+count = 2
+dim = 2
+[attack]
+"""
+
+
+@pytest.mark.parametrize("section,key", [
+    *(("experiment", key) for key in EXPERIMENT_KEYS),
+    *(("points", key) for key in ("source", "seed", "file", "values")),
+    *(("attack", key) for key in ATTACK_KEYS),
+])
+def test_empty_value_means_the_default(tmp_path, section, key):
+    text = EMPTY_BASE.replace(f"[{section}]\n", f"[{section}]\n{key} =\n")
+    config = parse_config(write_config(tmp_path, text, "empty.cfg"))
+    assert config == parse_config(write_config(tmp_path, EMPTY_BASE))
+
+
 # ---------------------------------------------------------------------------
 # Config parsing: rejection surface
 
@@ -378,6 +414,14 @@ def test_parse_rejects_unknown_sampler_name(tmp_path):
 def test_parse_rejects_unknown_statistic(tmp_path):
     _expect_config_error(tmp_path, "[experiment]\nstatistics = mode\n" + MINIMAL_TAIL,
                          r"statistics must be drawn")
+
+
+@pytest.mark.parametrize("line,key", [("budgets = 100, 500, 100", "budgets"),
+                                      ("samplers = lhs lhs", "samplers"),
+                                      ("statistics = median,median", "statistics")])
+def test_parse_rejects_repeated_list_entries(tmp_path, line, key):
+    _expect_config_error(tmp_path, f"[experiment]\n{line}\n" + MINIMAL_TAIL,
+                         rf"{key} must not repeat an entry")
 
 
 def test_parse_rejects_targeted_mode(tmp_path):

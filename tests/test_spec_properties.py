@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lhsattack.cli import parse_oracle_spec
 from lhsattack.errors import ConfigError
-from lhsattack.harness import ORACLE_KINDS, SPEC_KEYS, parse_config, serialize_config
+from lhsattack.harness import (
+    ATTACK_KEYS, ORACLE_KINDS, SPEC_KEYS, parse_config, serialize_config)
 from lhsattack.oracles import MAX_TIMEOUT_S
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -58,17 +59,42 @@ def oracle_section(draw, name, dim):
     return lines
 
 
+# Every [attack] key; clip_low <= 0 < clip_high keeps any drawn box valid.
+ATTACK_VALUES = {
+    "initial_samples": st.integers(1, 500),
+    "iterations": st.integers(1, 100),
+    "bisect_tol": st.floats(min_value=2.0 ** -53, max_value=1.0, exclude_max=True),
+    "max_queries": st.integers(1, 10**9),
+    "mode": st.just("untargeted"),
+    "max_init_tries": st.integers(1, 5000),
+    "max_step_retries": st.integers(0, 100),
+    "clip_low": st.floats(-10, 0),
+    "clip_high": st.floats(1e-6, 10),
+}
+
+
+def optional_line(key, values):
+    """No line, an empty ``key =`` (the default), or ``key = <drawn value>``."""
+    return st.one_of(st.just([]), st.just([f"{key} ="]),
+                     values.map(lambda v: [f"{key} = {v}"]))
+
+
 @st.composite
 def config_text(draw):
     dim = draw(st.integers(1, 5))
     names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True),
                           min_size=1, max_size=4, unique=True))
     lines = ["[experiment]",
+             *draw(optional_line("name", word)),
              f"repetitions = {draw(st.integers(1, 3))}",
              f"base_seed = {draw(st.integers(0, 2**32))}",
+             *draw(optional_line("output_dir", word)),
              "budgets = " + " ".join(str(b) for b in draw(
-                 st.lists(st.integers(1, 10**6), min_size=1, max_size=3))),
+                 st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True))),
              "samplers = " + " ".join(draw(st.permutations(("lhs", "srs")))),
+             *draw(optional_line("statistics", st.lists(
+                 st.sampled_from(("mean", "median")), min_size=1, max_size=2,
+                 unique=True).map(" ".join))),
              ""]
     for name in names:
         lines += draw(oracle_section(name, dim)) + [""]
@@ -87,9 +113,14 @@ def config_text(draw):
         lines.append("values =")
         for row in draw(st.lists(vector(dim), min_size=1, max_size=3)):
             lines.append("    " + floats_text(row))
-    lines += ["", "[attack]", f"iterations = {draw(st.integers(1, 100))}",
-              f"clip_low = {draw(st.floats(-10, 0))!r}"]
+    lines += ["", "[attack]"]
+    for key, values in ATTACK_VALUES.items():
+        lines += draw(optional_line(key, values))
     return "\n".join(lines) + "\n"
+
+
+def test_attack_values_cover_every_attack_key():
+    assert set(ATTACK_VALUES) == set(ATTACK_KEYS)
 
 
 def parse_text(text):
