@@ -137,6 +137,21 @@ class AttackConfig:
         if not self.clip_low < self.clip_high:
             raise ValueError("clip_low must be < clip_high")
 
+    def check_clip_box(self, dim: int) -> None:
+        """Reject a clip box whose diagonal is too long in ``dim`` coordinates.
+
+        Distances between points of the box are square roots of sums of
+        squares, which overflow once the width times sqrt(dim) passes
+        about 1.3e154; a squared diagonal of at most 2**1023 leaves room
+        for rounding in the sum.
+        """
+        width = float(self.clip_high) - float(self.clip_low)
+        if not width * width * dim <= 2.0 ** 1023:
+            raise ValueError(
+                f"clip box width {width:g} is too wide for dimension {dim}: "
+                f"distances would overflow; width * sqrt(dim) must be at most "
+                f"{2.0 ** 511.5:.4g}")
+
 
 def _check_bisect_tol(tol: float) -> None:
     """Reject a bisection tolerance the bracket cannot reach.
@@ -453,6 +468,7 @@ def run_attack(oracle, original, config: AttackConfig):
     if original.shape != (metered.dim,):
         raise ValueError("original point has the wrong dimension")
     dim = metered.dim
+    config.check_clip_box(dim)
     tol = config.bisect_tol if config.bisect_tol is not None else float(dim) ** -1.5
     if not 0.0 < tol < 1.0:
         raise ValueError("bisection tolerance must lie in (0, 1); "

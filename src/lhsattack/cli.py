@@ -179,6 +179,7 @@ def cmd_attack(args) -> int:
         max_queries=args.budget, sampler_kind=args.sampler, seed=args.seed,
         init_target_image=target_image,
         **{key: value for key, value in vars(args).items() if key in ATTACK_KEYS})
+    config.check_clip_box(spec.dim)
 
     # One external child serves every query; in-process oracles are built
     # around each candidate original.

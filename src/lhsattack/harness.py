@@ -403,6 +403,10 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
+    if cp.defaults():
+        # configparser would copy its keys into every section.
+        raise ConfigError("[DEFAULT] section is not supported; "
+                          "set each key in the section it belongs to")
 
     oracles = []
     points = None
@@ -441,6 +445,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("a [points] section is required")
     try:
         attack = AttackConfig(**attack_kwargs)
+        if points.dim:
+            attack.check_clip_box(points.dim)
     except ValueError as exc:
         raise ConfigError(f"[attack] {exc}") from exc
 

@@ -16,8 +16,8 @@ fully-connected classifier, and an external-process oracle speaking a
 plain-text line protocol for attacking models that live outside this
 process. Both ends of that pipe work at once: the engine sends a batch in
 chunks of rows, formatting the next chunk while the peer decides the last
-one, and :func:`serve_oracle`, the peer side, decides the complete lines of
-each read as one batch.
+one, and :func:`serve_oracle`, the peer side, parses and decides the
+complete lines of each read as one batch.
 """
 from __future__ import annotations
 
@@ -652,6 +652,9 @@ class ExternalOracle(DecisionOracle):
         if not 0.0 < self.timeout <= MAX_TIMEOUT_S:
             raise ValueError(
                 f"timeout must be positive and at most {int(MAX_TIMEOUT_S)} s")
+        # The %-format of one request line; a chunk of n rows is formatted
+        # by this repeated n times, in one call.
+        self._row_format = " ".join(["%.17g"] * self.dim) + "\n"
         self._proc = None
         self._buf = b""
 
@@ -714,9 +717,11 @@ class ExternalOracle(DecisionOracle):
     def _decide_batch(self, X):
         self.start()
         # A generator, so each chunk is formatted only when the one before it
-        # is written: the engine formats while the child decides.
-        requests = ("".join([format_floats(x) + "\n" for x in X[i:i + _CHUNK_ROWS]])
-                    .encode("ascii") for i in range(0, len(X), _CHUNK_ROWS))
+        # is written: the engine formats while the child decides. One
+        # %-format call per chunk writes each row as format_floats does.
+        requests = ((self._row_format * len(chunk) % tuple(chunk.ravel().tolist()))
+                    .encode("ascii")
+                    for chunk in (X[i:i + _CHUNK_ROWS] for i in range(0, len(X), _CHUNK_ROWS)))
         try:
             replies = self._exchange(requests, len(X))
             for reply in replies:
@@ -807,7 +812,7 @@ def serve_oracle(oracle: DecisionOracle, infile=None, outfile=None) -> int:
     This is the peer side of :class:`ExternalOracle`: it validates the
     ``HELLO m=<dim>`` handshake against ``oracle.dim``, replies ``OK``,
     then answers every request line with ``+1`` or ``-1``. The complete
-    lines of each read are decided as one
+    lines of each read are parsed at once, decided as one
     :meth:`MeteredOracle.decide_batch` call and answered with one write
     and one flush; the reply bytes equal those of answering line by line.
     Defaults to the binary stdin/stdout, so a process can expose any
@@ -836,15 +841,8 @@ def serve_oracle(oracle: DecisionOracle, infile=None, outfile=None) -> int:
             _check_handshake(lines.pop(0).decode("ascii", errors="replace"), oracle.dim)
             out.append(b"OK\n")
             greeted = True
-        rows, malformed = [], None
-        for line in lines:
-            try:
-                rows.append(parse_floats(line.decode("ascii", errors="replace"), oracle.dim))
-            except ProtocolError as exc:
-                malformed = exc
-                break
-        if rows:
-            X = np.array(rows)
+        X, malformed = _parse_requests(lines, oracle.dim)
+        if len(X):
             finite = np.isfinite(X).all(axis=1)
             if not finite.all():
                 # The first such line comes before any malformed one.
@@ -860,6 +858,35 @@ def serve_oracle(oracle: DecisionOracle, infile=None, outfile=None) -> int:
     if not greeted:
         raise ProtocolError("stream closed before handshake")
     return metered.ledger.total_queries
+
+
+def _parse_requests(lines, dim: int):
+    """Parse request ``lines`` (bytes) into rows, stopping at a malformed one.
+
+    Returns the rows before the first malformed line, as an (n, dim) array,
+    and that line's :class:`ProtocolError`, or None when there is none.
+    The values, the rows kept and the error are those of calling
+    :func:`parse_floats` on each line in turn.
+    """
+    tokens = [line.split() for line in lines]
+    if all(len(t) == dim for t in tokens):
+        try:
+            # numpy converts each bytes token with Python's float(), which
+            # takes bytes as parse_floats takes the decoded line, so one
+            # conversion gives the same values and fails on the same lines.
+            return np.array(tokens, dtype=np.float64).reshape(len(lines), dim), None
+        except ValueError:
+            pass
+    # Line by line, to find the first malformed line. This also accepts
+    # lines split by the separators only str.split knows, such as \x1c.
+    rows, malformed = [], None
+    for line in lines:
+        try:
+            rows.append(parse_floats(line.decode("ascii", errors="replace"), dim))
+        except ProtocolError as exc:
+            malformed = exc
+            break
+    return np.array(rows).reshape(len(rows), dim), malformed
 
 
 def _check_handshake(greeting: str, dim: int) -> None:

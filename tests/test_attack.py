@@ -845,6 +845,26 @@ def test_attack_config_rejects_non_finite_or_overflowing_box(box):
         AttackConfig(**box)
 
 
+def test_clip_box_limit_depends_on_the_dimension():
+    # The squared diagonal dim * width**2 may reach 2**1023 and no further.
+    config = AttackConfig(clip_low=0.0, clip_high=2.0 ** 511)
+    config.check_clip_box(2)
+    for dim in (3, 64):
+        with pytest.raises(ValueError, match=r"too wide for dimension %d" % dim):
+            config.check_clip_box(dim)
+    AttackConfig(clip_high=1e150).check_clip_box(3072)
+
+
+def test_run_attack_rejects_a_box_too_wide_before_any_query():
+    class Unasked(DecisionOracle):
+        def _decide(self, x):
+            raise AssertionError("the oracle was queried")
+
+    config = AttackConfig(clip_low=0.0, clip_high=1e160, max_queries=500)
+    with pytest.raises(ValueError, match=r"clip box width 1e\+160 is too wide for dimension 3"):
+        run_attack(Unasked(3), np.zeros(3), config)
+
+
 def test_attack_config_bisect_tol_limit():
     assert AttackConfig(bisect_tol=2.0 ** -53).bisect_tol == 2.0 ** -53
     for tol in (math.nextafter(2.0 ** -53, 0.0), 1e-20, 5.6e-309, 1e-320, 0.0, 1.0, math.nan):

@@ -188,6 +188,8 @@ BAD_BOX = r"clip_low, clip_high and clip_high - clip_low must be finite"
     (["--clip-low=nan"], BAD_BOX),
     (["--clip-low=-1e308", "--clip-high=1e308"], BAD_BOX),
     (["--bisect-tol", "1e-320"], r"bisect_tol must lie in \(0, 1\) and be at least"),
+    (["--clip-low=0", "--clip-high=1e160"],
+     r"clip box width 1e\+160 is too wide for dimension 3: distances would overflow"),
 ])
 def test_attack_rejects_bad_box_or_tolerance_before_any_query(
         tmp_path, capsys, monkeypatch, flags, match):

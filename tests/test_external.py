@@ -240,8 +240,11 @@ def test_protocol_error_is_an_oracle_failure():
 
 
 def test_slow_reply_times_out(tmp_path):
-    started = time.monotonic()
-    with ExternalOracle(stub(tmp_path, SLOW), dim=2, timeout=0.3) as oracle:
+    # The handshake waits for the child's interpreter to start, which a
+    # loaded machine can stretch past 0.3 s, so only the reply gets 0.3 s.
+    with ExternalOracle(stub(tmp_path, SLOW), dim=2, timeout=30.0) as oracle:
+        oracle.timeout = 0.3
+        started = time.monotonic()
         with pytest.raises(OracleFailedError, match="within"):
             MeteredOracle(oracle).decide(np.zeros(2), PHASE_INIT)
     assert time.monotonic() - started < 5.0

@@ -373,10 +373,30 @@ BAD_BOX = r"clip_low, clip_high and clip_high - clip_low must be finite"
     ("clip_low = -inf\nclip_high = inf\n", BAD_BOX),
     ("clip_low = -1e308\nclip_high = 1e308\n", BAD_BOX),
     ("bisect_tol = 1e-320\n", r"bisect_tol must lie in \(0, 1\) and be at least"),
+    ("clip_low = 0\nclip_high = 1e160\n",
+     r"clip box width 1e\+160 is too wide for dimension 2: distances would overflow"),
 ])
 def test_parse_rejects_bad_box_or_tolerance(tmp_path, attack_section, match):
     _expect_config_error(tmp_path, MINIMAL_TAIL + "\n[attack]\n" + attack_section,
                          r"\[attack\] " + match)
+
+
+def test_parse_accepts_the_widest_box_the_points_dimension_allows(tmp_path):
+    # Two coordinates of width w give a squared diagonal of 2 * w**2 = 2**1023.
+    text = MINIMAL_TAIL + f"\n[attack]\nclip_low = 0\nclip_high = {2.0 ** 511!r}\n"
+    assert parse_config(write_config(tmp_path, text)).attack.clip_high == 2.0 ** 511
+
+
+@pytest.mark.parametrize("default_section", ["dim = 3\n", "seed = 3\n"])
+def test_parse_rejects_a_default_section(tmp_path, default_section):
+    # configparser would copy these keys into every section.
+    _expect_config_error(tmp_path, "[DEFAULT]\n" + default_section + MINIMAL_TAIL,
+                         r"\[DEFAULT\] section is not supported")
+
+
+def test_parse_accepts_an_empty_default_section(tmp_path):
+    config = parse_config(write_config(tmp_path, "[DEFAULT]\n" + MINIMAL_TAIL))
+    assert config.points.dim == 2
 
 
 def test_parse_requires_points_section(tmp_path):
