@@ -91,72 +91,95 @@ def _fields_equal(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _ValueType:
-    """How an oracle-spec value is read from text, checked and written back."""
-
-    parse: object            # text -> value; None: each grammar parses vectors
-    valid: object            # value -> bool
-    means: str               # what a valid value is, for error messages
-    show: object = str       # value -> INI text
+def _float_list(text: str) -> np.ndarray:
+    return np.array([float(t) for t in text.split()], dtype=np.float64)
 
 
-SIZE = _ValueType(int, lambda v: v >= 1, "an integer >= 1")
-INDEX = _ValueType(int, lambda v: v >= 0, "an integer >= 0")
-FINITE = _ValueType(float, np.isfinite, "finite", _fmt)
-POSITIVE = _ValueType(float, lambda v: np.isfinite(v) and v > 0.0, "positive and finite", _fmt)
-TIMEOUT = _ValueType(float, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
-                     f"positive and finite, at most {int(MAX_TIMEOUT_S)} s", _fmt)
-STRING = _ValueType(str, lambda v: True, "a string")
-VECTOR = _ValueType(None, lambda v: v.ndim == 1 and v.size > 0 and np.isfinite(v).all(),
-                    "a non-empty vector of finite values",
-                    lambda v: " ".join(_fmt(x) for x in v))
+def _list_of(conv):
+    """Reader of a list-valued key: entries split on whitespace and/or commas."""
+    return lambda text: [conv(t) for t in text.replace(",", " ").split()]
 
 
-def _spec_field(vtype: _ValueType, *aliases: str, default=None):
-    """One row of the oracle-spec table (see :class:`OracleSpecConfig`)."""
-    return field(default=default, metadata={"type": vtype, "aliases": aliases})
+def _join(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+# A row of a key table: reads a value from text and writes it back. Oracle
+# rows also check a value (``valid``) and say what a valid one is
+# (``means``); the other sections leave that to their dataclasses.
+_Key = namedtuple("_Key", "read write valid means", defaults=(str, None, None))
+_INT, _FLOAT, _TEXT = _Key(int), _Key(float, _fmt), _Key(str)
+_WORDS = _Key(_list_of(str), _join)
+SIZE = _Key(int, str, lambda v: v >= 1, "an integer >= 1")
+INDEX = _Key(int, str, lambda v: v >= 0, "an integer >= 0")
+FINITE = _Key(float, _fmt, np.isfinite, "finite")
+POSITIVE = _Key(float, _fmt, lambda v: np.isfinite(v) and v > 0.0, "positive and finite")
+TIMEOUT = _Key(float, _fmt, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
+               f"positive and finite, at most {int(MAX_TIMEOUT_S)} s")
+# Reads the INI form (space-separated); the CLI grammar brings its own reader.
+VECTOR = _Key(_float_list, lambda v: " ".join(_fmt(x) for x in v),
+              lambda v: v.ndim == 1 and v.size > 0 and np.isfinite(v).all(),
+              "a non-empty vector of finite values")
+
+# One table per section. Each key names the dataclass field it sets, and
+# the field holds the default; serialize_config writes the keys in table
+# order. ``cli`` makes the ``attack`` flags from ATTACK_KEYS.
+EXPERIMENT_KEYS = {"name": _TEXT, "repetitions": _INT, "base_seed": _INT, "output_dir": _TEXT,
+                   "budgets": _Key(_list_of(int), _join), "samplers": _WORDS,
+                   "statistics": _WORDS}
+# Every OracleSpecConfig field after ``kind``; SPEC_KEYS adds the aliases.
+ORACLE_KEYS = {"radius": POSITIVE, "normal": VECTOR, "offset": FINITE, "weights": _TEXT,
+               "cmd": _TEXT, "timeout": TIMEOUT, "target_class": INDEX, "dim": SIZE,
+               "center": VECTOR, "original_class": INDEX}
+SPEC_KEYS = {**{key: key for key in ORACLE_KEYS}, "r": "radius", "w": "normal",
+             "b": "offset", "target": "target_class", "m": "dim", "class": "original_class"}
+POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file": _TEXT,
+               "values": _Key(lambda text: np.array(
+                   [VECTOR.read(line) for line in text.splitlines() if line.strip()]),
+                   lambda v: "\n    ".join(VECTOR.write(row) for row in v))}
+ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
+               "max_queries": _INT, "mode": _TEXT, "max_init_tries": _INT,
+               "max_step_retries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
 
 
 @dataclass(eq=False)
 class OracleSpecConfig:
     """Declarative description of one oracle; realized per original point.
 
-    Every field after ``kind`` is a row of the oracle-spec table: its name
-    is the canonical key of both text grammars (the CLI's
-    ``kind:key=value,...`` and the INI ``[oracle <name>]`` section), and
-    the row gives its aliases, value type and default. Parsing, checking,
-    serialization and the input dimension a spec implies all come from
-    these rows. Each field may be given once, under one of its spellings.
+    Every field after ``kind`` is a key of ``ORACLE_KEYS``: its name is the
+    canonical key of both text grammars (the CLI's ``kind:key=value,...``
+    and the INI ``[oracle <name>]`` section), ``SPEC_KEYS`` gives its
+    alias, and its row reads, checks and writes the value. Each field may
+    be given once, under one of its spellings.
     """
 
     name: str
     kind: str
-    radius: float | None = _spec_field(POSITIVE, "r")
-    normal: np.ndarray | None = _spec_field(VECTOR, "w")
-    offset: float | None = _spec_field(FINITE, "b")
-    weights: str | None = _spec_field(STRING)
-    cmd: str | None = _spec_field(STRING)
-    timeout: float = _spec_field(TIMEOUT, default=10.0)
-    target_class: int | None = _spec_field(INDEX, "target")
-    dim: int | None = _spec_field(SIZE, "m")
+    radius: float | None = None
+    normal: np.ndarray | None = None
+    offset: float | None = None
+    weights: str | None = None
+    cmd: str | None = None
+    timeout: float = 10.0
+    target_class: int | None = None
+    dim: int | None = None
     # The two below matter when no original point is in play (oracle-serve):
     # a fixed hypersphere center, and an explicit class index for mlp.
-    center: np.ndarray | None = _spec_field(VECTOR)
-    original_class: int | None = _spec_field(INDEX, "class")
+    center: np.ndarray | None = None
+    original_class: int | None = None
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
             raise ConfigError(f"unknown oracle kind {self.kind!r}")
-        for f in SPEC_FIELDS:
-            value, vtype = getattr(self, f.name), f.metadata["type"]
+        for key, row in ORACLE_KEYS.items():
+            value = getattr(self, key)
             if value is None:
                 continue
-            if vtype is VECTOR:
+            if row is VECTOR:
                 value = np.asarray(value, dtype=np.float64)
-                setattr(self, f.name, value)
-            if not vtype.valid(value):
-                raise ConfigError(f"oracle {self.name!r}: {f.name} must be {vtype.means}")
+                setattr(self, key, value)
+            if row.valid and not row.valid(value):
+                raise ConfigError(f"oracle {self.name!r}: {key} must be {row.means}")
         dims = sorted({d for _, d in self.implied_dims()})
         if len(dims) > 1:
             raise ConfigError(f"oracle {self.name!r}: conflicting input dimensions {dims}")
@@ -184,34 +207,31 @@ class OracleSpecConfig:
         """Build a spec from known ``(key, text)`` pairs; ``vector`` parses vectors."""
         kwargs, spelled = {}, {}
         for key, text in items:
-            f = SPEC_KEYS[key]
-            if f.name in spelled:
-                raise ConfigError(f"oracle {name!r}: {f.name} given more than once "
-                                  f"(as {spelled[f.name]!r} and {key!r})")
-            spelled[f.name] = key
+            field_name = SPEC_KEYS[key]
+            if field_name in spelled:
+                raise ConfigError(f"oracle {name!r}: {field_name} given more than once "
+                                  f"(as {spelled[field_name]!r} and {key!r})")
+            spelled[field_name] = key
+            row = ORACLE_KEYS[field_name]
             try:
-                kwargs[f.name] = (f.metadata["type"].parse or vector)(text)
+                kwargs[field_name] = (vector if row is VECTOR else row.read)(text)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"oracle {name!r}: bad value for {key!r}: {exc}") from exc
         return cls(name=name, kind=kind, **kwargs)
 
     def implied_dims(self):
         """``(field, dimension)`` for ``dim`` and each vector field that is set."""
-        for f in SPEC_FIELDS:
-            value = getattr(self, f.name)
-            if f.name == "dim" and value is not None:
-                yield f.name, value
-            elif f.metadata["type"] is VECTOR and value is not None:
-                yield f.name, len(value)
+        for key, row in ORACLE_KEYS.items():
+            value = getattr(self, key)
+            if key == "dim" and value is not None:
+                yield key, value
+            elif row is VECTOR and value is not None:
+                yield key, len(value)
 
     def __eq__(self, other):
         if not isinstance(other, OracleSpecConfig):
             return NotImplemented
         return _fields_equal(self, other)
-
-
-SPEC_FIELDS = tuple(f for f in dataclasses.fields(OracleSpecConfig) if f.metadata)
-SPEC_KEYS = {key: f for f in SPEC_FIELDS for key in (f.name, *f.metadata["aliases"])}
 
 
 @dataclass(eq=False)
@@ -329,38 +349,6 @@ class ExperimentResult:
 # Config file parsing
 
 
-def _float_list(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split()], dtype=np.float64)
-
-
-def _list_of(conv):
-    """Reader of a list-valued key: entries split on whitespace and/or commas."""
-    return lambda text: [conv(t) for t in text.replace(",", " ").split()]
-
-
-def _join(values) -> str:
-    return " ".join(str(v) for v in values)
-
-
-# A row of a section's key table: reads a value from text, writes it back.
-_Key = namedtuple("_Key", "read write", defaults=(str,))
-_INT, _FLOAT, _TEXT = _Key(int), _Key(float, _fmt), _Key(str)
-_WORDS = _Key(_list_of(str), _join)
-
-# One table per section. Each key names the dataclass field it sets, and
-# the field holds the default; serialize_config writes the keys in table
-# order. ``cli`` makes the ``attack`` flags from ATTACK_KEYS.
-EXPERIMENT_KEYS = {"name": _TEXT, "repetitions": _INT, "base_seed": _INT, "output_dir": _TEXT,
-                   "budgets": _Key(_list_of(int), _join), "samplers": _WORDS,
-                   "statistics": _WORDS}
-POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file": _TEXT,
-               "values": _Key(lambda text: np.array(
-                   [_float_list(line) for line in text.splitlines() if line.strip()]))}
-ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
-               "max_queries": _INT, "mode": _TEXT, "max_init_tries": _INT,
-               "max_step_retries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
-
-
 def _check_keys(section, allowed):
     for key in section:
         if key not in allowed:
@@ -382,9 +370,16 @@ def _read_section(section, keys) -> dict:
 
 
 def _write_section(obj, keys) -> list:
-    """``key = value`` lines for every table key whose value on ``obj`` is set."""
-    return [f"{key} = {row.write(getattr(obj, key))}" for key, row in keys.items()
-            if getattr(obj, key) is not None]
+    """``key = value`` lines for every table key whose value on ``obj`` is
+    set: neither None nor the field's default, which reading restores."""
+    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory() for f in dataclasses.fields(obj)}
+    lines = []
+    for key, row in keys.items():
+        value, default = getattr(obj, key), defaults[key]
+        if value is not None and (default is None or value != default):
+            lines.append(f"{key} = {row.write(value)}")
+    return lines
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -423,7 +418,7 @@ def parse_config(path) -> ExperimentConfig:
             try:
                 oracles.append(OracleSpecConfig.from_text(
                     name[7:].strip() or "oracle", section.get("kind", "").strip(),
-                    items, _float_list))
+                    items, VECTOR.read))
             except ConfigError as exc:
                 raise ConfigError(f"[{name}] {exc}") from None
         elif name == "points":
@@ -452,13 +447,13 @@ def parse_config(path) -> ExperimentConfig:
 
     config = ExperimentConfig(oracles=oracles, points=points, attack=attack,
                               **exp_kwargs)
-    _cross_validate(config)
+    _cross_validate(config.oracles, points.dim)
     return config
 
 
-def _cross_validate(config: ExperimentConfig) -> None:
-    dim = config.points.dim
-    for spec in config.oracles:
+def _cross_validate(oracles, dim: int) -> None:
+    """Raise if a spec implies an input dimension other than ``dim`` (0: unknown)."""
+    for spec in oracles:
         for key, d in spec.implied_dims():
             if dim and d != dim:
                 clash = (f"dim={d} conflicts with points" if key == "dim" else
@@ -470,31 +465,10 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Render a config back to the INI grammar (parse . serialize = identity)."""
     lines = ["[experiment]", *_write_section(config, EXPERIMENT_KEYS), ""]
     for spec in config.oracles:
-        lines.append(f"[oracle {spec.name}]")
-        lines.append(f"kind = {spec.kind}")
-        for f in SPEC_FIELDS:
-            value = getattr(spec, f.name)
-            if value is not None and (f.default is None or value != f.default):
-                lines.append(f"{f.name} = {f.metadata['type'].show(value)}")
-        lines.append("")
-    lines.append("[points]")
-    lines.append(f"source = {config.points.source}")
-    if config.points.source == "generate":
-        lines.append(f"count = {config.points.count}")
-        lines.append(f"dim = {config.points.dim}")
-        lines.append(f"seed = {config.points.seed}")
-    elif config.points.source == "file":
-        lines.append(f"file = {config.points.file}")
-        if config.points.dim:
-            lines.append(f"dim = {config.points.dim}")
-        if config.points.seed:
-            lines.append(f"seed = {config.points.seed}")
-    else:
-        lines.append("values =")
-        for row in config.points.values:
-            lines.append("    " + " ".join(_fmt(v) for v in row))
-    lines.append("")
-    lines += ["[attack]", *_write_section(config.attack, ATTACK_KEYS)]
+        lines += [f"[oracle {spec.name}]", f"kind = {spec.kind}",
+                  *_write_section(spec, ORACLE_KEYS), ""]
+    lines += ["[points]", *_write_section(config.points, POINTS_KEYS), "",
+              "[attack]", *_write_section(config.attack, ATTACK_KEYS)]
     return "\n".join(lines) + "\n"
 
 
@@ -661,6 +635,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     per run and excluded from the statistics; they never abort the batch.
     Generated originals are screened through the same oracles the runs use
     (one child per external spec), and an error while screening raises.
+    Each (oracle, point) pair is built once, checks the original and serves
+    every repetition and sampler.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -688,6 +664,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
         elif config.points.source == "file":
             points = load_points_file(config.points.file,
                                       config.points.dim or None)
+            _cross_validate(config.oracles, points.shape[1])
         else:
             points = generate_points(config.points.count, config.points.dim,
                                      config.points.seed, config.attack.clip_low,
@@ -696,8 +673,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
         for oi, spec in enumerate(config.oracles):
             for pi, point in enumerate(points):
                 try:
-                    probe_oracle = realize(spec, point)
-                    original_ok = _setup_decision(probe_oracle, point) == -1
+                    oracle = realize(spec, point)
+                    original_ok = _setup_decision(oracle, point) == -1
                 except LhsAttackError as exc:
                     for sampler in config.samplers:
                         runs.append(RunRecord(spec.name, sampler, pi, -1, 0, "",
@@ -717,7 +694,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
                         run_cfg = dataclasses.replace(
                             config.attack, sampler_kind=sampler, seed=seed,
                             max_queries=max_budget)
-                        oracle = realize(spec, point)
                         status, err, trace = COMPLETED, None, None
                         try:
                             _, trace = run_attack(oracle, point, run_cfg)

@@ -246,9 +246,22 @@ class HalfspaceOracle(DecisionOracle):
         self.normal = normal
         self.offset = float(offset)
         self.original = None if original is None else _as_point(original, self.dim)
+        # 2**_scale bounds every |normal_i|; see _decide.
+        self._scale = math.frexp(float(np.abs(normal).max()))[1]
 
     def _decide(self, x):
-        return 1 if float(self.normal @ x) + self.offset > 0.0 else -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot = float(self.normal @ x)
+        if not math.isfinite(dot):
+            # Only an unclipped point (an oracle-serve peer's) gets here.
+            # Scaling x by a power of two is exact, and once every |x_i| is
+            # below 2**-_scale no product or partial sum can overflow.
+            e = math.frexp(float(np.abs(x).max()))[1] + self._scale
+            dot = float(self.normal @ np.ldexp(x, -e))
+            if dot == 0.0:      # the scaled offset could round to zero
+                return 1 if self.offset > 0.0 else -1
+            return 1 if dot + math.ldexp(self.offset, -e) > 0.0 else -1
+        return 1 if dot + self.offset > 0.0 else -1
 
 
 class HypersphereOracle(DecisionOracle):

@@ -10,10 +10,10 @@ package sharp.
 
 Every uniform of a batch is drawn on the calling thread, from one stream and
 in one order. The per-column work after that (the LHS ranks, the
-``(stratum + jitter) / n`` step and the quantile) runs over chunks of
-contiguous columns. For a batch of ``_SPLIT_ELEMENTS`` or more elements,
-when two CPUs are usable, the calling thread and a module-level worker
-thread share the chunks. Both write in place into arrays the caller
+``(stratum + jitter) / n`` step and the quantile) runs on the whole batch at
+once, or, for a batch of ``_SPLIT_ELEMENTS`` or more elements when two CPUs
+are usable, over chunks of contiguous columns that the calling thread and a
+module-level worker thread share. Both write in place into arrays the caller
 allocated. Every value is computed by the same elementwise or per-column
 operation whichever thread does it, so the batch is bit-identical. Smaller
 batches, such as every probe batch at d = 64, run on the calling thread.
@@ -192,14 +192,18 @@ if hasattr(os, "register_at_fork"):
 
 
 def _by_columns(work, n_samples: int, dim: int) -> None:
-    """Call ``work(a, b)`` once for each chunk of columns ``a:b`` of ``dim``.
+    """Call ``work(a, b)`` on column ranges ``a:b`` that cover ``dim``.
 
-    Below ``_SPLIT_ELEMENTS`` elements the calling thread does every chunk.
-    Above, the calling thread and ``_THREADS - 1`` pool threads take chunks
-    from one shared list until it is empty, so a thread that is slowed
-    down takes fewer. Every chunk has finished before this returns or
-    raises a chunk's exception.
+    Below ``_SPLIT_ELEMENTS`` elements, or with one thread, the calling
+    thread makes one call on all the columns. Above, the calling thread and
+    ``_THREADS - 1`` pool threads take chunks of columns from one shared
+    list until it is empty, so a thread that is slowed down takes fewer.
+    Every chunk has finished before this returns or raises a chunk's
+    exception.
     """
+    if _THREADS < 2 or n_samples * dim < _SPLIT_ELEMENTS:
+        work(0, dim)
+        return
     step = max(1, _CHUNK_ELEMENTS // n_samples)
     chunks = iter([(a, min(a + step, dim)) for a in range(0, dim, step)])
     lock = threading.Lock()
@@ -212,9 +216,6 @@ def _by_columns(work, n_samples: int, dim: int) -> None:
                 return
             work(*chunk)
 
-    if _THREADS < 2 or n_samples * dim < _SPLIT_ELEMENTS:
-        drain()
-        return
     futures = [_pool().submit(drain) for _ in range(_THREADS - 1)]
     try:
         drain()

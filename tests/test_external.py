@@ -535,6 +535,14 @@ def test_serve_rejects_a_non_finite_request_after_the_good_ones(mlp_fixture_path
     assert out.log == [b"OK\n" + reply, "flush"]
 
 
+@pytest.mark.parametrize("offset,reply", [(-0.5, b"-1"), (0.5, b"+1")])
+def test_serve_halfspace_answers_the_true_sign_when_the_dot_product_overflows(offset, reply):
+    # w.x is exactly 0, but 2e308 overflows; the sign is the offset's.
+    oracle = HalfspaceOracle(np.array([2.0, -2.0]), offset)
+    served, out = run_serve(b"HELLO m=2\n1e308 1e308\n1e308 -1e308\n-1e308 1e308\n", oracle)
+    assert (served, out) == (3, b"OK\n" + reply + b"\n+1\n-1\n")
+
+
 def test_serve_counts_every_decision_across_reads():
     rng = np.random.default_rng(25)
     X = rng.uniform(size=(300, 3))

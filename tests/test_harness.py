@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import lhsattack
+from lhsattack import harness
 from lhsattack.attack import COMPLETED, AttackConfig, AttackTrace, TraceRow
 from lhsattack.errors import ConfigError
 from lhsattack.harness import (
     ATTACK_KEYS,
     EXPERIMENT_KEYS,
+    ORACLE_KEYS,
     POINTS_KEYS,
+    SPEC_KEYS,
     ExperimentConfig,
     OracleSpecConfig,
     PointsConfig,
@@ -173,6 +176,32 @@ seed = 3
     assert config2 == config
 
 
+def test_serialize_leaves_out_keys_at_their_defaults(tmp_path):
+    text = """\
+[experiment]
+repetitions = 1
+base_seed = 4
+
+[oracle probe]
+kind = external
+cmd = python3 stub.py
+timeout = 10
+
+[points]
+source = generate
+count = 2
+dim = 3
+seed = 0
+"""
+    config = parse_config(write_config(tmp_path, text))
+    written = serialize_config(config)
+    lines = written.splitlines()
+    for default in ("repetitions = 1", "timeout = 10", "seed = 0", "source = generate"):
+        assert default not in lines
+    assert {"base_seed = 4", "cmd = python3 stub.py", "count = 2", "dim = 3"} <= set(lines)
+    assert parse_config(write_config(tmp_path, written, "w.cfg")) == config
+
+
 def test_parse_defaults_without_experiment_section(tmp_path):
     text = """\
 [oracle ball]
@@ -282,6 +311,10 @@ def test_key_tables_name_the_dataclass_fields():
     assert set(ATTACK_KEYS) == names(AttackConfig, "sampler_kind", "seed", "init_target_image")
     assert set(EXPERIMENT_KEYS) == names(ExperimentConfig, "oracles", "points", "attack")
     assert set(POINTS_KEYS) == names(PointsConfig)
+    # Every OracleSpecConfig field after kind, in field order; the aliases
+    # name those fields.
+    assert list(ORACLE_KEYS) == [f.name for f in dataclasses.fields(OracleSpecConfig)][2:]
+    assert set(SPEC_KEYS.values()) == set(ORACLE_KEYS)
 
 
 EMPTY_BASE = """\
@@ -1042,6 +1075,44 @@ file = {pts}
     config = parse_config(write_config(tmp_path, text))
     with pytest.raises(ConfigError, match=r"pts.txt:2: coordinates must be finite"):
         run_experiment(config, output_dir=str(tmp_path / "out"))
+
+
+def test_run_experiment_rejects_file_points_of_another_dimension(tmp_path, monkeypatch):
+    # Without [points] dim the file's width is known only once it is read;
+    # it is checked then, like inline points at parse, before any oracle.
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5 0.5\n0.4 0.6\n")
+    text = f"""\
+[oracle ball]
+kind = hypersphere
+radius = 0.3
+dim = 3
+
+[points]
+source = file
+file = {pts}
+"""
+    config = parse_config(write_config(tmp_path, text))
+    monkeypatch.setattr(harness, "build_oracle", lambda *a: pytest.fail("oracle built"))
+    with pytest.raises(ConfigError, match="'ball': dim=3 conflicts with points dimension 2"):
+        run_experiment(config, output_dir=str(tmp_path / "out"))
+
+
+def test_run_experiment_builds_each_oracle_once_per_point(tmp_path, monkeypatch):
+    built = []
+
+    def counted(spec, point, *rest):
+        built.append((spec.name, tuple(point)))
+        return build_oracle(spec, point, *rest)
+
+    monkeypatch.setattr(harness, "build_oracle", counted)
+    text = GRID_CONFIG.replace("repetitions = 2", "repetitions = 3").replace(
+        "[points]", "[oracle plane]\nkind = halfspace\nw = 1 0 0 0 0\nb = -0.9\n\n[points]")
+    config = parse_config(write_config(tmp_path, text))
+    result = run_experiment(config, output_dir=str(tmp_path / "out"))
+    assert len(result.runs) == 2 * 2 * 3 * 2
+    assert all(r.status == COMPLETED for r in result.runs)
+    assert len(built) == len(set(built)) == 2 * 2     # (spec, point) pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for decision oracles, query accounting, and the weights format."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,18 @@ def test_halfspace_agrees_with_closed_form_exactly():
         expected = 1 if float(w @ x) + b > 0.0 else -1
         assert m.decide(x, PHASE_GRADIENT) == expected
     assert m.ledger.total_queries == 500
+
+
+def test_halfspace_overflowing_dot_product_answers_the_exact_sign():
+    # Points from a pipe peer are not clipped, so w.x can overflow; the
+    # answer is still the sign of the exact w.x + b.
+    rng = np.random.default_rng(29)
+    w = rng.normal(size=6) * 1e3
+    m = metered(HalfspaceOracle(w, 0.25))
+    for _ in range(200):
+        x = rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(300, 308, size=6)
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x)) + Fraction(0.25)
+        assert m.decide(x, PHASE_GRADIENT) == (1 if exact > 0 else -1)
 
 
 def test_hypersphere_center_inside():

@@ -291,6 +291,28 @@ def test_split_srs_matches_reference_bit_for_bit(shape):
         assert srs_normal(*shape, seed=seed).rows.tobytes() == ndtri(base).tobytes()
 
 
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_one_thread_works_the_whole_batch_in_one_call(monkeypatch, shape):
+    monkeypatch.setattr(samplers, "_THREADS", 1)
+    calls = []
+    by_columns = samplers._by_columns
+
+    def counted(work, n_samples, dim):
+        def once(a, b):
+            calls.append((a, b))
+            work(a, b)
+        by_columns(once, n_samples, dim)
+
+    monkeypatch.setattr(samplers, "_by_columns", counted)
+    rows, strata = ref_lhs_normal(*shape, 3)
+    batch = lhs_normal(*shape, seed=3)
+    assert batch.rows.tobytes() == rows.tobytes()
+    assert np.array_equal(batch.stratum_index, strata)
+    base = ref_open_unit(np.random.default_rng(3), shape)
+    assert srs_normal(*shape, seed=3).rows.tobytes() == ndtri(base).tobytes()
+    assert calls == [(0, shape[1])] * 2
+
+
 def test_split_lhs_breaks_ties_like_double_argsort(monkeypatch):
     n, d = 150, BOUND // 150 + 1
     rng = np.random.default_rng(5)
