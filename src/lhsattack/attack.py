@@ -27,8 +27,6 @@ from .oracles import (
     PHASE_GRADIENT,
     PHASE_INIT,
     PHASE_STEP,
-    TARGETED,
-    UNTARGETED,
     MeteredOracle,
     QueryLedger,
 )
@@ -84,13 +82,12 @@ class AttackConfig:
         Hard cap on total oracle queries; ``None`` means unlimited.
     sampler_kind : str
         ``"lhs"`` (stratified) or ``"srs"`` (independent) probe noise.
-    mode : str
-        ``"untargeted"`` or ``"targeted"``.
     seed : int
         Run seed; every random choice derives from it deterministically.
     init_target_image : ndarray or None
-        Starting adversarial point for targeted runs (an input the oracle
-        already answers +1 on, e.g. an image of the target class).
+        Starting adversarial point: a 1-D array of finite values the
+        oracle already answers +1 on, e.g. an image of the target class.
+        When given, the run starts from it instead of uniform draws.
     max_init_tries : int
         Uniform draws attempted before giving up on initialization.
     max_step_retries : int
@@ -104,7 +101,6 @@ class AttackConfig:
     bisect_tol: float | None = None
     max_queries: int | None = None
     sampler_kind: str = LHS
-    mode: str = UNTARGETED
     seed: int = 0
     init_target_image: np.ndarray | None = None
     max_init_tries: int = 1000
@@ -125,8 +121,10 @@ class AttackConfig:
             raise ValueError("max_queries must be >= 1")
         if self.sampler_kind not in _SAMPLERS:
             raise ValueError(f"unknown sampler_kind {self.sampler_kind!r}")
-        if self.mode not in (UNTARGETED, TARGETED):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.init_target_image is not None:
+            image = np.asarray(self.init_target_image, dtype=np.float64)
+            if image.ndim != 1 or not np.isfinite(image).all():
+                raise ValueError("init_target_image must be a 1-D array of finite values")
         if self.max_init_tries < 1:
             raise ValueError("max_init_tries must be >= 1")
         if self.max_step_retries < 0:
@@ -285,10 +283,9 @@ def initialize_adversarial(oracle: MeteredOracle, original, config: AttackConfig
                            rng: np.random.Generator) -> np.ndarray:
     """Find a starting point the oracle answers +1 on.
 
-    Untargeted: draw uniform points in the clip box until one is
+    With ``config.init_target_image``: verify it with a single query and
+    return it. Otherwise draw uniform points in the clip box until one is
     adversarial, up to ``config.max_init_tries`` (one query each).
-    Targeted: verify ``config.init_target_image`` with a single query and
-    return it.
 
     The caller is responsible for the original being non-adversarial
     (decide(original) = -1); no query is spent re-checking it here.
@@ -296,15 +293,13 @@ def initialize_adversarial(oracle: MeteredOracle, original, config: AttackConfig
     Raises
     ------
     InitFailedError
-        When the try budget is exhausted or the targeted image is not
+        When the try budget is exhausted or the start image is not
         adversarial.
     """
     original = np.asarray(original, dtype=np.float64)
     if original.shape != (oracle.dim,):
         raise ValueError("original point has the wrong dimension")
-    if config.mode == TARGETED:
-        if config.init_target_image is None:
-            raise ValueError("targeted mode requires init_target_image")
+    if config.init_target_image is not None:
         cand = clip(config.init_target_image, config.clip_low, config.clip_high)
         if cand.shape != (oracle.dim,):
             raise ValueError("init_target_image has the wrong dimension")

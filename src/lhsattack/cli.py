@@ -50,15 +50,10 @@ from .harness import (
     load_points_file,
     parse_config,
     run_experiment,
+    _cached_mlp,
     _setup_decision,
 )
-from .oracles import (
-    TARGETED,
-    UNTARGETED,
-    format_floats,
-    load_mlp,
-    serve_oracle,
-)
+from .oracles import format_floats, serve_oracle
 from .samplers import (
     LHS,
     SRS,
@@ -142,9 +137,7 @@ def _resolve_dim(spec: OracleSpecConfig, point, dim_flag, model_cache) -> int:
     if dim_flag is not None:
         candidates.append(dim_flag)
     if spec.kind == "mlp":
-        if spec.weights not in model_cache:
-            model_cache[spec.weights] = load_mlp(spec.weights)
-        candidates.append(model_cache[spec.weights].input_dim)
+        candidates.append(_cached_mlp(spec.weights, model_cache).input_dim)
     if not candidates:
         raise ConfigError(
             "input dimension unknown; give --point, --dim, or m= in the oracle spec")
@@ -155,8 +148,6 @@ def _resolve_dim(spec: OracleSpecConfig, point, dim_flag, model_cache) -> int:
 
 def cmd_attack(args) -> int:
     spec = parse_oracle_spec(args.oracle)
-    if args.target_class is not None:
-        spec.target_class = args.target_class
     model_cache: dict = {}
 
     point = None
@@ -180,6 +171,8 @@ def cmd_attack(args) -> int:
         init_target_image=target_image,
         **{key: value for key, value in vars(args).items() if key in ATTACK_KEYS})
     config.check_clip_box(spec.dim)
+    if target_image is not None and target_image.shape != (spec.dim,):
+        raise ValueError("init_target_image has the wrong dimension")
 
     # One external child serves every query; in-process oracles are built
     # around each candidate original.
@@ -278,13 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="original point as space-separated floats")
     p.add_argument("--point-file", help="float-line file; first line is the original")
     p.add_argument("--dim", type=_dim, help="input dimension when not implied")
-    p.add_argument("--target-class", type=int, default=None)
-    p.add_argument("--target-image", help="float-line file with the targeted start")
+    p.add_argument("--target-image",
+                   help="float-line file whose first line is the adversarial start")
     # The [attack] keys, --budget aside; a flag left out keeps AttackConfig's default.
     for key, row in ATTACK_KEYS.items():
         if key != "max_queries":
             p.add_argument("--" + key.replace("_", "-"), type=row.read,
-                           choices=(UNTARGETED, TARGETED) if key == "mode" else None,
                            default=argparse.SUPPRESS)
     p.add_argument("--out", default="trace.csv", help="trace CSV path")
     p.set_defaults(func=cmd_attack)

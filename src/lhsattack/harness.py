@@ -37,7 +37,6 @@ from .errors import (
 from .oracles import (
     MAX_TIMEOUT_S,
     PHASE_INIT,
-    UNTARGETED,
     ExternalOracle,
     HalfspaceOracle,
     HypersphereOracle,
@@ -138,7 +137,7 @@ POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file"
                    [VECTOR.read(line) for line in text.splitlines() if line.strip()]),
                    lambda v: "\n    ".join(VECTOR.write(row) for row in v))}
 ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
-               "max_queries": _INT, "mode": _TEXT, "max_init_tries": _INT,
+               "max_queries": _INT, "max_init_tries": _INT,
                "max_step_retries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
 
 
@@ -429,10 +428,6 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"[points] {exc}") from None
         elif name == "attack":
             attack_kwargs = _read_section(section, ATTACK_KEYS)
-            if attack_kwargs.get("mode") not in (None, UNTARGETED):
-                raise ConfigError(
-                    "[attack] mode: benchmark configs support untargeted runs only; "
-                    "use the library API for targeted attacks")
         else:
             raise ConfigError(f"unknown section [{name}]")
 
@@ -451,14 +446,20 @@ def parse_config(path) -> ExperimentConfig:
     return config
 
 
-def _cross_validate(oracles, dim: int) -> None:
-    """Raise if a spec implies an input dimension other than ``dim`` (0: unknown)."""
+def _cross_validate(oracles, dim: int, model_cache: dict | None = None) -> None:
+    """Raise if a spec implies an input dimension other than ``dim`` (0: unknown);
+    with ``model_cache``, also if an mlp's weights, read into it, take another."""
     for spec in oracles:
         for key, d in spec.implied_dims():
             if dim and d != dim:
                 clash = (f"dim={d} conflicts with points" if key == "dim" else
                          f"{key} has {d} coordinates but points have")
                 raise ConfigError(f"oracle {spec.name!r}: {clash} dimension {dim}")
+        if dim and model_cache is not None and spec.kind == "mlp":
+            width = _cached_mlp(spec.weights, model_cache).input_dim
+            if width != dim:
+                raise ConfigError(f"oracle {spec.name!r}: weights {spec.weights!r} take "
+                                  f"{width} inputs but points have dimension {dim}")
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -476,11 +477,20 @@ def serialize_config(config: ExperimentConfig) -> str:
 # Oracle and point realization
 
 
+def _cached_mlp(path, model_cache: dict | None):
+    """The model in weights file ``path``, read once per ``model_cache`` (path -> MlpModel)."""
+    if model_cache is None:
+        return load_mlp(path)
+    if path not in model_cache:
+        model_cache[path] = load_mlp(path)
+    return model_cache[path]
+
+
 def build_oracle(spec: OracleSpecConfig, original=None, model_cache: dict | None = None):
     """Instantiate the oracle described by ``spec``; the only place that does.
 
     A hypersphere without ``center`` is centred on ``original``, an
-    untargeted mlp takes its class, and an external oracle without ``dim``
+    mlp takes its class, and an external oracle without ``dim``
     its length; without ``original`` (``oracle-serve``) the spec must say
     these. ``model_cache`` (path -> MlpModel) avoids re-reading weights.
     External oracles should be reused, and finally closed, by the caller.
@@ -501,14 +511,7 @@ def build_oracle(spec: OracleSpecConfig, original=None, model_cache: dict | None
     if spec.kind == "halfspace":
         return HalfspaceOracle(spec.normal, spec.offset, original)
     if spec.kind == "mlp":
-        if model_cache is not None and spec.weights in model_cache:
-            model = model_cache[spec.weights]
-        else:
-            model = load_mlp(spec.weights)
-            if model_cache is not None:
-                model_cache[spec.weights] = model
-        mode = UNTARGETED if spec.target_class is None else "targeted"
-        return MlpOracle(model, original, mode=mode,
+        return MlpOracle(_cached_mlp(spec.weights, model_cache), original,
                          original_class=spec.original_class,
                          target_class=spec.target_class)
     dim = spec.dim or (None if original is None else original.shape[0])
@@ -633,8 +636,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     repetition — but not the sampler — so sampler comparisons are paired.
     Failures (bad originals, init failures, oracle failures) are recorded
     per run and excluded from the statistics; they never abort the batch.
-    Generated originals are screened through the same oracles the runs use
-    (one child per external spec), and an error while screening raises.
+    The points' width is checked against every spec, mlp weights included,
+    before any oracle is built. Generated originals are screened through the
+    same oracles the runs use (one child per external spec), and an error
+    while screening raises.
     Each (oracle, point) pair is built once, checks the original and serves
     every repetition and sampler.
     """
@@ -659,13 +664,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
                    for spec in config.oracles)
 
     try:
-        if config.points.source == "inline":
-            points = config.points.values
-        elif config.points.source == "file":
+        points = config.points.values
+        if config.points.source == "file":
             points = load_points_file(config.points.file,
                                       config.points.dim or None)
-            _cross_validate(config.oracles, points.shape[1])
-        else:
+        _cross_validate(config.oracles, config.points.dim or points.shape[1], model_cache)
+        if config.points.source == "generate":
             points = generate_points(config.points.count, config.points.dim,
                                      config.points.seed, config.attack.clip_low,
                                      config.attack.clip_high, accept=acceptable)

@@ -48,8 +48,6 @@ __all__ = [
     "PHASE_GRADIENT",
     "PHASE_STEP",
     "PHASES",
-    "UNTARGETED",
-    "TARGETED",
     "QueryLedger",
     "MeteredOracle",
     "DecisionOracle",
@@ -74,9 +72,6 @@ PHASE_BINSEARCH = "binsearch"
 PHASE_GRADIENT = "gradient"
 PHASE_STEP = "step"
 PHASES = (PHASE_INIT, PHASE_BINSEARCH, PHASE_GRADIENT, PHASE_STEP)
-
-UNTARGETED = "untargeted"
-TARGETED = "targeted"
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -292,10 +287,10 @@ class HypersphereOracle(DecisionOracle):
 class MlpOracle(DecisionOracle):
     """Classifier-backed oracle over a small fully-connected network.
 
-    Untargeted mode answers +1 when the predicted class differs from
-    ``original_class``; targeted mode answers +1 when the prediction
-    equals ``target_class``. Argmax ties resolve to the lowest class
-    index. Scores themselves never leave the oracle.
+    With a ``target_class`` it answers +1 when the prediction equals it;
+    otherwise it answers +1 when the prediction differs from
+    ``original_class``. Argmax ties resolve to the lowest class index.
+    Scores themselves never leave the oracle.
 
     The model is treated as immutable once an oracle is built: the batch
     kernel computes each layer's rounding-error constants on its first
@@ -304,26 +299,20 @@ class MlpOracle(DecisionOracle):
 
     kind = "mlp"
 
-    def __init__(self, model: "MlpModel", original=None, mode: str = UNTARGETED,
+    def __init__(self, model: "MlpModel", original=None,
                  original_class: int | None = None, target_class: int | None = None):
         super().__init__(model.input_dim)
         self.model = model
         self.original = None if original is None else _as_point(original, self.dim)
-        if mode not in (UNTARGETED, TARGETED):
-            raise ValueError(f"unknown oracle mode {mode!r}")
-        self.mode = mode
-        if mode == TARGETED:
-            if target_class is None:
-                raise ValueError("targeted mode requires target_class")
-            if not 0 <= int(target_class) < model.class_count:
-                raise ValueError("target_class out of range")
+        if target_class is not None and not 0 <= int(target_class) < model.class_count:
+            raise ValueError("target_class out of range")
         self.target_class = None if target_class is None else int(target_class)
         if original_class is None and self.original is not None:
             # Label of the unperturbed input, inferred once at setup time
             # (model evaluation at construction is not a metered query).
             original_class = int(np.argmax(mlp_forward(model, self.original)))
         if original_class is None:
-            if mode == UNTARGETED:
+            if self.target_class is None:
                 raise ValueError(
                     "untargeted mode requires an original point or original_class")
         elif not 0 <= int(original_class) < model.class_count:
@@ -345,7 +334,7 @@ class MlpOracle(DecisionOracle):
 
     def _decide(self, x):
         top = int(_forward(self.model, x).argmax())
-        if self.mode == TARGETED:
+        if self.target_class is not None:
             return 1 if top == self.target_class else -1
         return 1 if top != self.original_class else -1
 
@@ -373,7 +362,7 @@ class MlpOracle(DecisionOracle):
         # A top score ahead of the runner-up by more than both paths' errors
         # is the top score on both paths.
         sure = ranked[:, -1] - ranked[:, -2] > 4.0 * err + _TINY
-        if self.mode == TARGETED:
+        if self.target_class is not None:
             decisions = np.where(top == self.target_class, 1, -1)
         else:
             decisions = np.where(top != self.original_class, 1, -1)
@@ -597,6 +586,11 @@ _CHUNK_ROWS = 16
 # Seconds a child whose pipe closed gets to exit, so its status is reported.
 _EXIT_WAIT_S = 1.0
 
+# Failures in a row, with no complete reply between them, after which an
+# external oracle spawns no more children; a child that dies before it
+# replies would otherwise be spawned again for every later point and run.
+_MAX_FAILED_STARTS = 3
+
 # The longest reply timeout, in seconds: select() rejects one much longer.
 MAX_TIMEOUT_S = threading.TIMEOUT_MAX
 
@@ -651,7 +645,8 @@ class ExternalOracle(DecisionOracle):
     raises :class:`OracleFailedError`; a reply that is not ``+1``/``-1``
     raises :class:`ProtocolError`. Either failure kills the child and drops
     its unread output, so no stale reply can answer a later query; the next
-    query spawns a fresh child.
+    query spawns a fresh child. After three failures in a row with no
+    complete reply between them, queries fail at once and spawn nothing.
     """
 
     kind = "external"
@@ -670,6 +665,7 @@ class ExternalOracle(DecisionOracle):
         self._row_format = " ".join(["%.17g"] * self.dim) + "\n"
         self._proc = None
         self._buf = b""
+        self._failures = 0   # in a row, since the last complete reply
 
     def start(self) -> None:
         """Spawn the child and complete the handshake; respawn an exited one."""
@@ -677,11 +673,16 @@ class ExternalOracle(DecisionOracle):
             if self._proc.poll() is None:
                 return
             self._stop(kill=True)
+        if self._failures >= _MAX_FAILED_STARTS:
+            raise OracleFailedError(
+                f"oracle process {self.cmd!r} failed {self._failures} times in a row "
+                f"without a reply; not starting it again")
         try:
             self._proc = subprocess.Popen(
                 self.cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 bufsize=0)
         except OSError as exc:
+            self._failures += 1
             raise OracleFailedError(
                 f"could not launch oracle process {self.cmd!r}: {exc}") from exc
         os.set_blocking(self._proc.stdin.fileno(), False)
@@ -691,6 +692,7 @@ class ExternalOracle(DecisionOracle):
             if reply != "OK":
                 raise ProtocolError(f"handshake reply was {reply!r}, expected 'OK'")
         except OracleFailedError:
+            self._failures += 1
             self._stop(kill=True)
             raise
 
@@ -743,8 +745,10 @@ class ExternalOracle(DecisionOracle):
                         f"oracle replied {reply!r}, expected '+1' or '-1'")
         except OracleFailedError:
             # Replies to the rest of the batch may still be in flight.
+            self._failures += 1
             self._stop(kill=True)
             raise
+        self._failures = 0
         return np.array([1 if r == "+1" else -1 for r in replies], dtype=np.int64)
 
     def _dead(self, what):

@@ -33,7 +33,6 @@ from lhsattack.errors import (
 from lhsattack.harness import emit_trace_csv
 from lhsattack.oracles import (
     PHASE_INIT,
-    TARGETED,
     DecisionOracle,
     HalfspaceOracle,
     HypersphereOracle,
@@ -200,7 +199,7 @@ def test_init_targeted_uses_one_query():
     w[0] = 1.0
     oracle = MeteredOracle(HalfspaceOracle(w, offset=-0.5))
     image = np.array([0.9, 0.1, 0.1])
-    cfg = default_config(mode=TARGETED, init_target_image=image)
+    cfg = default_config(init_target_image=image)
     point = initialize_adversarial(oracle, np.full(3, 0.2), cfg,
                                    np.random.default_rng(0))
     assert np.array_equal(point, image)
@@ -211,20 +210,19 @@ def test_init_targeted_rejects_non_adversarial_image():
     w = np.zeros(3)
     w[0] = 1.0
     oracle = MeteredOracle(HalfspaceOracle(w, offset=-0.5))
-    cfg = default_config(mode=TARGETED,
-                         init_target_image=np.array([0.2, 0.1, 0.1]))
+    cfg = default_config(init_target_image=np.array([0.2, 0.1, 0.1]))
     with pytest.raises(InitFailedError):
         initialize_adversarial(oracle, np.full(3, 0.2), cfg,
                                np.random.default_rng(0))
     assert oracle.ledger.total_queries == 1
 
 
-def test_init_targeted_requires_image():
-    oracle = MeteredOracle(HalfspaceOracle(np.ones(2), -0.5))
-    with pytest.raises(ValueError):
-        initialize_adversarial(oracle, np.full(2, 0.1),
-                               default_config(mode=TARGETED),
-                               np.random.default_rng(0))
+@pytest.mark.parametrize("image", [np.full(64, np.nan), np.array([0.9, np.inf, 0.1]),
+                                   np.full((2, 3), 0.9), np.float64(0.9)],
+                         ids=["nan", "inf", "2-d", "scalar"])
+def test_config_rejects_a_start_image_that_is_not_a_finite_vector(image):
+    with pytest.raises(ValueError, match=r"init_target_image must be a 1-D array of finite"):
+        AttackConfig(init_target_image=image)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +655,7 @@ def test_run_attack_budget_exhausted_during_init_is_init_failure():
 def test_run_attack_targeted_mode():
     oracle, center = sphere_setup(seed=10)
     start = np.clip(center + 0.9, 0.0, 1.0)  # far corner, outside the ball
-    cfg = AttackConfig(iterations=10, mode=TARGETED, init_target_image=start,
-                       seed=0)
+    cfg = AttackConfig(iterations=10, init_target_image=start, seed=0)
     point, trace = run_attack(oracle, center, cfg)
     assert trace.status == COMPLETED
     assert trace.ledger.snapshot()["init"] == 1
@@ -823,8 +820,6 @@ def test_attack_config_validation():
         AttackConfig(max_queries=0)
     with pytest.raises(ValueError):
         AttackConfig(sampler_kind="sobol")
-    with pytest.raises(ValueError):
-        AttackConfig(mode="semi-targeted")
     with pytest.raises(ValueError):
         AttackConfig(max_init_tries=0)
     with pytest.raises(ValueError):

@@ -267,7 +267,6 @@ def test_attack_generated_original_is_not_adversarial(tmp_path, capsys, monkeypa
 TUNING_FLAGS = [("--initial-samples", "7", "initial_samples", 7),
                 ("--iterations", "3", "iterations", 3),
                 ("--bisect-tol", "0.01", "bisect_tol", 0.01),
-                ("--mode", "targeted", "mode", "targeted"),
                 ("--max-init-tries", "40", "max_init_tries", 40),
                 ("--max-step-retries", "5", "max_step_retries", 5),
                 ("--clip-low", "-0.5", "clip_low", -0.5),
@@ -300,6 +299,53 @@ def test_attack_flags_set_attack_config_fields(tmp_path, capsys, monkeypatch, fl
         expected = dataclasses.replace(expected, **{flag[2]: flag[3]})
     for f in dataclasses.fields(AttackConfig):
         assert np.array_equal(getattr(config, f.name), getattr(expected, f.name)), f.name
+
+
+def test_attack_starts_from_the_target_image(tmp_path, capsys):
+    # Uniform draws almost never land in x0 > 0.99, so one draw would fail
+    # to start; the image is adversarial and starts the run in one query.
+    start = tmp_path / "start.txt"
+    start.write_text("1 0.5 0.5\n")
+    out = tmp_path / "t.csv"
+    rc = main(["attack", "--oracle", "halfspace:w=1;0;0,b=-0.99", "--point", "0.5 0.5 0.5",
+               "--target-image", str(start), "--max-init-tries", "1", "--seed", "1",
+               "--budget", "300", "--iterations", "3", "--initial-samples", "6",
+               "--out", str(out)])
+    assert rc == 0
+    assert "status=completed" in capsys.readouterr().out
+    rows, status = parse_trace_csv(out)
+    assert status == "completed"
+    assert rows[0]["queries"] == 1 + rows[0]["bisect_steps"]
+
+
+@pytest.mark.parametrize("flags", [["--mode", "targeted"], ["--target-class", "1"]],
+                         ids=["mode", "target-class"])
+def test_attack_has_no_targeting_flags(tmp_path, capsys, flags):
+    # The spec's target= is the one targeting value; the image is the start.
+    start = tmp_path / "start.txt"
+    start.write_text("0.9 0.9 0.9\n")
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=3", "--point", "0.5 0.5 0.5",
+               "--target-image", str(start), *flags, "--budget", "200",
+               "--iterations", "3", "--initial-samples", "6",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_attack_rejects_a_start_image_of_the_wrong_width_before_any_query(
+        tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr("lhsattack.cli.generate_points", no_draws)
+    start = tmp_path / "start.txt"
+    start.write_text("0.9 0.9\n")
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=3", "--target-image", str(start),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "init_target_image has the wrong dimension" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_attack_bad_weights_file_is_config_failure(tmp_path, capsys):
@@ -336,8 +382,7 @@ def test_attack_targeted_mlp(tmp_path, capsys, mlp_fixture_path):
     start = tmp_path / "start.txt"
     start.write_text(" ".join(f"{v:.17g}" for v in cand) + "\n")
     out = tmp_path / "trace.csv"
-    rc = main(["attack", "--oracle", f"mlp:weights={mlp_fixture_path}",
-               "--mode", "targeted", "--target-class", str(target),
+    rc = main(["attack", "--oracle", f"mlp:weights={mlp_fixture_path},target={target}",
                "--target-image", str(start),
                "--point", " ".join("0.5" for _ in range(64)),
                "--budget", "2000", "--iterations", "8",

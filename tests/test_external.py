@@ -8,6 +8,7 @@ format itself rather than shared code.
 import io
 import os
 import shlex
+import subprocess
 import sys
 import time
 
@@ -34,6 +35,7 @@ from lhsattack.oracles import (
     HypersphereOracle,
     MeteredOracle,
     MlpOracle,
+    _MAX_FAILED_STARTS,
     format_floats,
     load_mlp,
     parse_floats,
@@ -369,6 +371,63 @@ def test_child_exit_inside_a_later_chunk_fails_the_whole_batch(tmp_path):
         assert oracle._proc is not first
         assert m.decide(X[0], PHASE_INIT) == builtin._decide(X[0])
         assert m.ledger.total_queries == 81
+
+
+EXITS_AT_ONCE = """\
+import sys
+sys.exit(3)
+"""
+
+# argv[1] counts the spawns; spawns 1, 2, 4 and 5 exit before the handshake.
+FAILS_TWICE_PER_THREE = """\
+import sys
+with open(sys.argv[1], "a+") as fh:
+    fh.write("x")
+    fh.seek(0)
+    spawns = len(fh.read())
+if spawns % 3:
+    sys.exit(3)
+sys.stdin.readline()
+print("OK", flush=True)
+for line in sys.stdin:
+    print("+1", flush=True)
+"""
+
+
+def test_a_child_that_never_replies_is_spawned_at_most_the_bound(tmp_path, monkeypatch):
+    spawned = []
+    popen = subprocess.Popen
+
+    def counted(*args, **kwargs):
+        spawned.append(args)
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    config = ExperimentConfig(
+        oracles=[OracleSpecConfig(name="dead", kind="external",
+                                  cmd=shlex.join(stub(tmp_path, EXITS_AT_ONCE)), dim=2)],
+        points=PointsConfig(source="inline",
+                            values=np.random.default_rng(28).uniform(size=(5, 2))),
+        attack=AttackConfig(initial_samples=5, iterations=2), budgets=[100],
+        output_dir=str(tmp_path / "out"))
+    result = run_experiment(config)
+    assert len(spawned) == _MAX_FAILED_STARTS
+    assert [(r.point_index, r.status) for r in result.runs] == \
+        [(pi, "oracle_failed") for pi in range(5) for _ in config.samplers]
+    assert f"failed {_MAX_FAILED_STARTS} times in a row" in result.runs[-1].error
+
+
+def test_a_complete_reply_resets_the_failure_count(tmp_path):
+    oracle = ExternalOracle(stub(tmp_path, FAILS_TWICE_PER_THREE, str(tmp_path / "spawns")),
+                            dim=2)
+    m = MeteredOracle(oracle)
+    for _ in range(2):
+        for _ in range(2):
+            with pytest.raises(OracleFailedError, match="exited with status 3"):
+                m.decide(np.zeros(2), PHASE_INIT)
+        assert m.decide(np.zeros(2), PHASE_INIT) == 1
+        oracle.close()
+    assert (tmp_path / "spawns").read_text() == "x" * 6
 
 
 @pytest.mark.parametrize("kind", ["halfspace", "hypersphere", "mlp", "external"])

@@ -3,6 +3,7 @@ point loading, CSV artifacts, and batch execution."""
 
 import dataclasses
 import os
+import re
 import shlex
 import sys
 
@@ -39,7 +40,7 @@ from lhsattack.oracles import (
     HypersphereOracle,
     MlpOracle,
     QueryLedger,
-    TARGETED,
+    mlp_forward,
 )
 
 from reference import parse_summary_csv, parse_trace_csv
@@ -477,9 +478,11 @@ def test_parse_rejects_repeated_list_entries(tmp_path, line, key):
                          rf"{key} must not repeat an entry")
 
 
-def test_parse_rejects_targeted_mode(tmp_path):
-    _expect_config_error(tmp_path, MINIMAL_TAIL + "\n[attack]\nmode = targeted\n",
-                         r"untargeted")
+@pytest.mark.parametrize("value", ["untargeted", "targeted"])
+def test_parse_rejects_an_attack_mode(tmp_path, value):
+    # Targeting is the mlp spec's target=; [attack] has no mode key.
+    _expect_config_error(tmp_path, MINIMAL_TAIL + f"\n[attack]\nmode = {value}\n",
+                         r"\[attack\] unknown key 'mode'")
 
 
 def test_parse_rejects_duplicate_oracle_names(tmp_path):
@@ -637,8 +640,10 @@ def test_build_oracle_mlp_targeted_when_target_class_given(mlp_fixture_path):
     spec = OracleSpecConfig(name="net", kind="mlp", weights=mlp_fixture_path,
                             target_class=1)
     oracle = build_oracle(spec, np.full(64, 0.5))
-    assert oracle.mode == TARGETED
     assert oracle.target_class == 1
+    X = np.random.default_rng(5).random((50, 64))
+    top = [int(np.argmax(mlp_forward(oracle.model, x))) for x in X]
+    assert [oracle._decide(x) for x in X] == [1 if t == 1 else -1 for t in top]
 
 
 def test_build_oracle_external_dim_mismatch_before_launch():
@@ -1096,6 +1101,37 @@ file = {pts}
     monkeypatch.setattr(harness, "build_oracle", lambda *a: pytest.fail("oracle built"))
     with pytest.raises(ConfigError, match="'ball': dim=3 conflicts with points dimension 2"):
         run_experiment(config, output_dir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("source", ["inline", "generate"])
+def test_run_experiment_rejects_mlp_weights_of_another_width(
+        tmp_path, monkeypatch, mlp_fixture_path, source):
+    # The weights' input width is checked against the points before any
+    # oracle is built, so the ball's runs do not go first and the net's then
+    # stop the grid with a bare shape error and no summary.
+    points = ("source = inline\nvalues = 0.5 0.5 0.5\n    0.4 0.6 0.5\n"
+              if source == "inline" else "count = 2\ndim = 3\n")
+    text = f"""\
+[experiment]
+budgets = 100
+
+[oracle ball]
+kind = hypersphere
+radius = 0.45
+
+[oracle net]
+kind = mlp
+weights = {mlp_fixture_path}
+
+[points]
+{points}"""
+    config = parse_config(write_config(tmp_path, text))
+    monkeypatch.setattr(harness, "build_oracle", lambda *a: pytest.fail("oracle built"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=rf"oracle 'net': weights '{re.escape(mlp_fixture_path)}' "
+                                          r"take 64 inputs but points have dimension 3"):
+        run_experiment(config, output_dir=str(out))
+    assert list(out.iterdir()) == []
 
 
 def test_run_experiment_builds_each_oracle_once_per_point(tmp_path, monkeypatch):

@@ -19,8 +19,6 @@ from lhsattack.oracles import (
     PHASE_INIT,
     PHASE_STEP,
     RELU,
-    TARGETED,
-    UNTARGETED,
     HalfspaceOracle,
     HypersphereOracle,
     MeteredOracle,
@@ -310,44 +308,41 @@ def test_mlp_model_invariant_validation():
 
 
 def test_mlp_oracle_untargeted_line_model():
-    m = metered(MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0))
+    m = metered(MlpOracle(two_class_line_model(), original_class=0))
     # argmax is class 1 for x0 < 0.5, which differs from class 0
     assert m.decide(np.array([0.4]), PHASE_INIT) == 1
     assert m.decide(np.array([0.9]), PHASE_INIT) == -1
 
 
 def test_mlp_oracle_tie_resolves_to_lowest_index():
-    m = metered(MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0))
+    m = metered(MlpOracle(two_class_line_model(), original_class=0))
     # scores (0.5, 0.5): argmax tie -> class 0 == original class -> not adversarial
     assert m.decide(np.array([0.5]), PHASE_INIT) == -1
 
 
 def test_mlp_oracle_infers_original_class_from_point():
-    oracle = MlpOracle(two_class_line_model(), original=np.array([0.8]),
-                       mode=UNTARGETED)
+    oracle = MlpOracle(two_class_line_model(), original=np.array([0.8]))
     assert oracle.original_class == 0
-    oracle2 = MlpOracle(two_class_line_model(), original=np.array([0.2]),
-                        mode=UNTARGETED)
+    oracle2 = MlpOracle(two_class_line_model(), original=np.array([0.2]))
     assert oracle2.original_class == 1
 
 
 def test_mlp_oracle_untargeted_requires_class_or_point():
     with pytest.raises(ValueError):
-        MlpOracle(two_class_line_model(), mode=UNTARGETED)
+        MlpOracle(two_class_line_model())
 
 
-def test_mlp_oracle_targeted_requires_target():
-    with pytest.raises(ValueError):
-        MlpOracle(two_class_line_model(), mode=TARGETED)
-    with pytest.raises(ValueError):
-        MlpOracle(two_class_line_model(), mode=TARGETED, target_class=5)
+def test_mlp_oracle_target_out_of_range():
+    with pytest.raises(ValueError, match="target_class out of range"):
+        MlpOracle(two_class_line_model(), target_class=5)
+    with pytest.raises(ValueError, match="target_class out of range"):
+        MlpOracle(two_class_line_model(), target_class=-1)
 
 
 def test_untargeted_targeted_duality_two_class():
     model = two_class_line_model()
-    untargeted = MlpOracle(model, mode=UNTARGETED, original_class=0)
-    targeted = MlpOracle(model, mode=TARGETED, target_class=1,
-                         original_class=0)
+    untargeted = MlpOracle(model, original_class=0)
+    targeted = MlpOracle(model, target_class=1, original_class=0)
     untargeted, targeted = metered(untargeted), metered(targeted)
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -384,7 +379,7 @@ def test_true_gradient_hypersphere_center_undefined():
 
 
 def test_true_gradient_unsupported_kind():
-    oracle = MlpOracle(two_class_line_model(), mode=UNTARGETED, original_class=0)
+    oracle = MlpOracle(two_class_line_model(), original_class=0)
     with pytest.raises(CapabilityError):
         true_gradient(oracle, np.array([0.5]))
 
@@ -436,8 +431,8 @@ def test_weights_round_trip_preserves_decisions(tmp_path):
     path = tmp_path / "net.txt"
     save_mlp(model, path)
     back = load_mlp(path)
-    a = metered(MlpOracle(model, mode=UNTARGETED, original_class=0))
-    b = metered(MlpOracle(back, mode=UNTARGETED, original_class=0))
+    a = metered(MlpOracle(model, original_class=0))
+    b = metered(MlpOracle(back, original_class=0))
     rng = np.random.default_rng(8)
     for _ in range(100):
         x = rng.uniform(size=4)
@@ -617,7 +612,7 @@ def mlp_oracles(model, original):
     top = int(np.argmax(mlp_forward(model, original)))
     other = (top + 1) % model.class_count
     return [MlpOracle(model, original),
-            MlpOracle(model, original, mode=TARGETED, target_class=other)]
+            MlpOracle(model, original, target_class=other)]
 
 
 @pytest.mark.parametrize("which", ["fixture", "three_class"])
@@ -645,8 +640,8 @@ def test_mlp_batch_exact_score_ties_resolve_like_rows():
     out = model.layers[-1]
     out.weight[2], out.bias[2] = out.weight[0], out.bias[0]   # classes 0 and 2 tie
     X = rng.uniform(size=(200, 6))
-    for oracle in (MlpOracle(model, mode=UNTARGETED, original_class=0),
-                   MlpOracle(model, mode=TARGETED, target_class=2)):
+    for oracle in (MlpOracle(model, original_class=0),
+                   MlpOracle(model, target_class=2)):
         got, want, _ = batch_vs_rows(oracle, X)
         assert got == want
 
@@ -692,7 +687,7 @@ def test_mlp_decide_is_argmax_of_checked_forward(which, mlp_fixture_path):
     for oracle in mlp_oracles(model, X[0]):
         for x in rows:
             top = int(np.argmax(mlp_forward(model, x)))
-            want = (top == oracle.target_class if oracle.mode == TARGETED
+            want = (top == oracle.target_class if oracle.target_class is not None
                     else top != oracle.original_class)
             assert oracle._decide(x) == (1 if want else -1)
 
@@ -712,7 +707,7 @@ def test_mlp_kernels_leave_their_input_unmodified(mlp_fixture_path):
 def test_mlp_cached_bounds_equal_per_batch_values(mlp_fixture_path):
     for model in (load_mlp(mlp_fixture_path),
                   random_mlp(np.random.default_rng(11), [16, 24, 24], 3)):
-        oracle = MlpOracle(model, mode=UNTARGETED, original_class=0)
+        oracle = MlpOracle(model, original_class=0)
         assert len(oracle._bounds) == len(model.layers)
         for layer, (gamma, w_norm, b_max) in zip(model.layers, oracle._bounds):
             assert gamma == _gamma(layer.weight.shape[1] + 1)
