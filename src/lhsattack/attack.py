@@ -209,11 +209,16 @@ class TraceRow:
 
 @dataclass
 class AttackTrace:
-    """Full run record: one row per iteration plus the terminal status."""
+    """Full run record: one row per iteration plus the terminal status.
+
+    ``error`` is the cause of a failed run (``init_failed`` or
+    ``oracle_failed``) and ``None`` for a run that did not fail.
+    """
 
     rows: list
     status: str
     ledger: QueryLedger
+    error: str | None = None
 
     @property
     def queries_total(self) -> int:
@@ -439,6 +444,12 @@ def run_attack(oracle, original, config: AttackConfig):
     budget runs out — returning the best adversarial point seen — or
     after two consecutive failed step searches.
 
+    A run's outcome is never raised: every run returns its trace, whose
+    ``status`` says how it ended and whose ``error`` gives the cause of a
+    failure. No start point (or the budget spent before one) is
+    ``init_failed``; an oracle that stops answering, or a gradient
+    estimate that vanishes twice, is ``oracle_failed``.
+
     ``oracle`` is a bare :class:`DecisionOracle`; the attack queries it
     through a fresh :class:`MeteredOracle` capped at
     ``config.max_queries``, whose ledger rides along on the returned
@@ -449,14 +460,10 @@ def run_attack(oracle, original, config: AttackConfig):
 
     Returns
     -------
-    (ndarray, AttackTrace)
+    (ndarray or None, AttackTrace)
         The least-distorted adversarial point (boundary-projected unless
-        the budget died first) and the run trace.
-
-    Raises
-    ------
-    InitFailedError, OracleFailedError
-        With the partial trace attached on the exception's ``trace``.
+        the run stopped early), ``None`` when no start was found, and the
+        run trace.
     """
     metered = MeteredOracle(oracle, config.max_queries)
     original = np.asarray(original, dtype=np.float64)
@@ -476,83 +483,77 @@ def run_attack(oracle, original, config: AttackConfig):
     def dist_to(p) -> float:
         return _norm(p - original)
 
+    status, error = COMPLETED, None
     try:
         init_rng = np.random.default_rng(substream_seed(config.seed, NS_INIT))
-        try:
-            init_point = initialize_adversarial(metered, original, config, init_rng)
-        except QueryBudgetExceededError as exc:
-            err = InitFailedError(
-                "query budget exhausted before an adversarial point was found")
-            err.trace = AttackTrace(rows=rows, status=INIT_FAILED, ledger=ledger)
-            raise err from exc
-        except InitFailedError as exc:
-            exc.trace = AttackTrace(rows=rows, status=INIT_FAILED, ledger=ledger)
-            raise
+        init_point = initialize_adversarial(metered, original, config, init_rng)
         best_dist, best_point = dist_to(init_point), init_point
-        status = COMPLETED
 
-        try:
-            current = bin_search(init_point, original, metered, tol,
-                                 config.clip_low, config.clip_high)
-            d = dist_to(current.point)
-            rows.append(TraceRow(t=0, n_samples=0, probe_step=0.0, step_size=0.0,
-                                 queries=ledger.total_queries, distortion=d,
-                                 agree_count=0, step_retries=0,
-                                 bisect_steps=current.steps))
-            best_proj_dist, best_proj = d, current
-            if d < best_dist:
-                best_dist, best_point = d, current.point
+        current = bin_search(init_point, original, metered, tol,
+                             config.clip_low, config.clip_high)
+        d = dist_to(current.point)
+        rows.append(TraceRow(t=0, n_samples=0, probe_step=0.0, step_size=0.0,
+                             queries=ledger.total_queries, distortion=d,
+                             agree_count=0, step_retries=0,
+                             bisect_steps=current.steps))
+        best_proj_dist, best_proj = d, current
+        if d < best_dist:
+            best_dist, best_point = d, current.point
 
-            consecutive_failures = 0
-            for t in range(1, config.iterations + 1):
-                prev = current.point
-                if dist_to(prev) == 0.0:
-                    break
-                n_t = schedule_samples(t - 1, config.initial_samples)
-                probe_step = schedule_probe_step(prev, original, dim)
-                step_size = schedule_step_size(t, prev, original)
-                est = estimate_gradient(
-                    metered, prev, n_t, probe_step, config.sampler_kind,
-                    substream_seed(config.seed, NS_GRADIENT, t),
-                    config.clip_low, config.clip_high)
-                try:
-                    cand, retries = step_forward(prev, est, step_size, metered, config)
-                except StepFailedError:
-                    consecutive_failures += 1
-                    rows.append(TraceRow(
-                        t=t, n_samples=n_t, probe_step=probe_step,
-                        step_size=step_size, queries=ledger.total_queries,
-                        distortion=dist_to(prev), agree_count=est.agree_count,
-                        step_retries=config.max_step_retries, bisect_steps=0))
-                    if consecutive_failures >= 2:
-                        break
-                    continue
-                consecutive_failures = 0
-                cd = dist_to(cand)
-                if cd < best_dist:
-                    best_dist, best_point = cd, cand
-                current = bin_search(cand, original, metered, tol,
-                                     config.clip_low, config.clip_high)
-                d = dist_to(current.point)
+        consecutive_failures = 0
+        for t in range(1, config.iterations + 1):
+            prev = current.point
+            if dist_to(prev) == 0.0:
+                break
+            n_t = schedule_samples(t - 1, config.initial_samples)
+            probe_step = schedule_probe_step(prev, original, dim)
+            step_size = schedule_step_size(t, prev, original)
+            est = estimate_gradient(
+                metered, prev, n_t, probe_step, config.sampler_kind,
+                substream_seed(config.seed, NS_GRADIENT, t),
+                config.clip_low, config.clip_high)
+            try:
+                cand, retries = step_forward(prev, est, step_size, metered, config)
+            except StepFailedError:
+                consecutive_failures += 1
                 rows.append(TraceRow(
                     t=t, n_samples=n_t, probe_step=probe_step,
                     step_size=step_size, queries=ledger.total_queries,
-                    distortion=d, agree_count=est.agree_count,
-                    step_retries=retries, bisect_steps=current.steps))
-                if d < best_dist:
-                    best_dist, best_point = d, current.point
-                if d < best_proj_dist:
-                    best_proj_dist, best_proj = d, current
-        except QueryBudgetExceededError:
+                    distortion=dist_to(prev), agree_count=est.agree_count,
+                    step_retries=config.max_step_retries, bisect_steps=0))
+                if consecutive_failures >= 2:
+                    break
+                continue
+            consecutive_failures = 0
+            cd = dist_to(cand)
+            if cd < best_dist:
+                best_dist, best_point = cd, cand
+            current = bin_search(cand, original, metered, tol,
+                                 config.clip_low, config.clip_high)
+            d = dist_to(current.point)
+            rows.append(TraceRow(
+                t=t, n_samples=n_t, probe_step=probe_step,
+                step_size=step_size, queries=ledger.total_queries,
+                distortion=d, agree_count=est.agree_count,
+                step_retries=retries, bisect_steps=current.steps))
+            if d < best_dist:
+                best_dist, best_point = d, current.point
+            if d < best_proj_dist:
+                best_proj_dist, best_proj = d, current
+        best_point = best_proj.point
+    except InitFailedError as exc:
+        status, error = INIT_FAILED, str(exc)
+    except QueryBudgetExceededError:
+        if best_point is None:
+            status = INIT_FAILED
+            error = "query budget exhausted before an adversarial point was found"
+        else:
             status = BUDGET_EXHAUSTED
             rows.append(TraceRow(
                 t=rows[-1].t + 1 if rows else 0, n_samples=0, probe_step=0.0,
                 step_size=0.0, queries=ledger.total_queries,
                 distortion=best_dist, agree_count=0, step_retries=0,
                 bisect_steps=0))
-            return best_point, AttackTrace(rows=rows, status=status, ledger=ledger)
-    except OracleFailedError as exc:
-        exc.trace = AttackTrace(rows=rows, status=ORACLE_FAILED, ledger=ledger)
-        raise
-
-    return best_proj.point, AttackTrace(rows=rows, status=COMPLETED, ledger=ledger)
+    except (OracleFailedError, EstimateDegenerateError) as exc:
+        status, error = ORACLE_FAILED, str(exc)
+    return best_point, AttackTrace(rows=rows, status=status, ledger=ledger, error=error)

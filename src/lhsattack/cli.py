@@ -33,13 +33,7 @@ import sys
 import numpy as np
 
 from .attack import AttackConfig, run_attack
-from .errors import (
-    ConfigError,
-    InitFailedError,
-    LhsAttackError,
-    OracleFailedError,
-    WeightsFormatError,
-)
+from .errors import ConfigError, LhsAttackError, WeightsFormatError
 from .harness import (
     ATTACK_KEYS,
     SPEC_KEYS,
@@ -191,15 +185,11 @@ def cmd_attack(args) -> int:
         elif not acceptable(point):
             raise ConfigError("original point is already adversarial for this oracle")
 
-        oracle = oracle_for(point)
-        try:
-            best, trace = run_attack(oracle, point, config)
-        except (InitFailedError, OracleFailedError) as exc:
-            if exc.trace is not None:
-                emit_trace_csv(exc.trace, args.out)
-            _err(f"attack failed: {exc}")
-            return 2
+        best, trace = run_attack(oracle_for(point), point, config)
         emit_trace_csv(trace, args.out)
+        if trace.error is not None:
+            _err(f"attack failed: {trace.error}")
+            return 2
         distortion = float(np.linalg.norm(best - point))
         print(f"status={trace.status} queries={trace.queries_total} "
               f"distortion={distortion:.6g} trace={args.out}")

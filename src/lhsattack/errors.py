@@ -23,25 +23,11 @@ class StepFailedError(LhsAttackError):
 
 
 class InitFailedError(LhsAttackError):
-    """No adversarial starting point was found.
-
-    Carries the partial attack trace (may be empty) in ``trace``.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """No adversarial starting point was found."""
 
 
 class OracleFailedError(LhsAttackError):
-    """The decision oracle stopped answering (external process died/timed out).
-
-    Carries the partial attack trace in ``trace`` when raised from a run.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """The decision oracle stopped answering (external process died/timed out)."""
 
 
 class ProtocolError(OracleFailedError):

@@ -22,18 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import (
-    AttackConfig,
-    AttackTrace,
-    COMPLETED,
-    run_attack,
-)
-from .errors import (
-    ConfigError,
-    InitFailedError,
-    LhsAttackError,
-    OracleFailedError,
-)
+from .attack import AttackConfig, AttackTrace, run_attack
+from .errors import ConfigError, LhsAttackError
 from .oracles import (
     MAX_TIMEOUT_S,
     PHASE_INIT,
@@ -509,7 +499,7 @@ def build_oracle(spec: OracleSpecConfig, original=None, model_cache: dict | None
                 f"oracle {spec.name!r}: without an original point, needs center=<vector>")
         return HypersphereOracle(center, spec.radius)
     if spec.kind == "halfspace":
-        return HalfspaceOracle(spec.normal, spec.offset, original)
+        return HalfspaceOracle(spec.normal, spec.offset)
     if spec.kind == "mlp":
         return MlpOracle(_cached_mlp(spec.weights, model_cache), original,
                          original_class=spec.original_class,
@@ -634,17 +624,19 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     attack at the largest configured budget; smaller budgets are sliced
     from the same trace. The run seed depends on the oracle, point, and
     repetition — but not the sampler — so sampler comparisons are paired.
-    Failures (bad originals, init failures, oracle failures) are recorded
-    per run and excluded from the statistics; they never abort the batch.
+    Failed runs (bad originals, init failures, oracle failures) are recorded
+    per run and never abort the batch; a failed attack still writes its
+    trace CSV and joins ``traces``, but only runs that did not fail enter
+    the statistics.
     The points' width is checked against every spec, mlp weights included,
-    before any oracle is built. Generated originals are screened through the
+    before any oracle is built, and the output directory is made only once
+    the points pass. Generated originals are screened through the
     same oracles the runs use (one child per external spec), and an error
     while screening raises.
     Each (oracle, point) pair is built once, checks the original and serves
     every repetition and sampler.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
 
     max_budget = max(config.budgets)
     model_cache: dict = {}
@@ -673,6 +665,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
             points = generate_points(config.points.count, config.points.dim,
                                      config.points.seed, config.attack.clip_low,
                                      config.attack.clip_high, accept=acceptable)
+        os.makedirs(out_dir, exist_ok=True)
 
         for oi, spec in enumerate(config.oracles):
             for pi, point in enumerate(points):
@@ -698,22 +691,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
                         run_cfg = dataclasses.replace(
                             config.attack, sampler_kind=sampler, seed=seed,
                             max_queries=max_budget)
-                        status, err, trace = COMPLETED, None, None
-                        try:
-                            _, trace = run_attack(oracle, point, run_cfg)
-                            status = trace.status
-                        except (InitFailedError, OracleFailedError) as exc:
-                            trace = exc.trace
-                            status = trace.status if trace else "oracle_failed"
-                            err = str(exc)
-                        except LhsAttackError as exc:
-                            status, err = "oracle_failed", str(exc)
-                        if trace is not None:
-                            emit_trace_csv(trace, trace_path)
-                            traces[(spec.name, sampler, pi, rep)] = trace
+                        _, trace = run_attack(oracle, point, run_cfg)
+                        emit_trace_csv(trace, trace_path)
+                        traces[(spec.name, sampler, pi, rep)] = trace
                         runs.append(RunRecord(spec.name, sampler, pi, rep, seed,
-                                              trace_path if trace else "",
-                                              status, err))
+                                              trace_path, trace.status, trace.error))
     finally:
         for oracle in externals.values():
             oracle.close()
@@ -724,7 +706,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
             for budget in config.budgets:
                 values = []
                 for (oname, skind, pi, rep), trace in traces.items():
-                    if oname != spec.name or skind != sampler:
+                    if oname != spec.name or skind != sampler or trace.error is not None:
                         continue
                     d = distortion_at_budget(trace, budget)
                     if d is not None:

@@ -231,7 +231,7 @@ class HalfspaceOracle(DecisionOracle):
 
     kind = "halfspace"
 
-    def __init__(self, normal, offset: float, original=None):
+    def __init__(self, normal, offset: float):
         normal = np.asarray(normal, dtype=np.float64)
         if normal.ndim != 1:
             raise ValueError("halfspace normal must be a vector")
@@ -240,7 +240,6 @@ class HalfspaceOracle(DecisionOracle):
         super().__init__(normal.shape[0])
         self.normal = normal
         self.offset = float(offset)
-        self.original = None if original is None else _as_point(original, self.dim)
         # 2**_scale bounds every |normal_i|; see _decide.
         self._scale = math.frexp(float(np.abs(normal).max()))[1]
 
@@ -313,8 +312,8 @@ class MlpOracle(DecisionOracle):
             original_class = int(np.argmax(mlp_forward(model, self.original)))
         if original_class is None:
             if self.target_class is None:
-                raise ValueError(
-                    "untargeted mode requires an original point or original_class")
+                raise ValueError("an mlp oracle without target_class needs an "
+                                 "original point or original_class")
         elif not 0 <= int(original_class) < model.class_count:
             raise ValueError("original_class out of range")
         self.original_class = None if original_class is None else int(original_class)

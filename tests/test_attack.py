@@ -633,10 +633,10 @@ def test_run_attack_init_failure_carries_partial_trace():
     w[0] = 1.0
     oracle = HalfspaceOracle(w, offset=-10.0)  # nothing in the box satisfies it
     cfg = AttackConfig(max_init_tries=25, seed=0)
-    with pytest.raises(InitFailedError) as excinfo:
-        run_attack(oracle, np.full(6, 0.5), cfg)
-    trace = excinfo.value.trace
+    best, trace = run_attack(oracle, np.full(6, 0.5), cfg)
+    assert best is None
     assert trace.status == INIT_FAILED
+    assert trace.error == "no adversarial point among 25 uniform draws"
     assert trace.rows == []
     assert trace.ledger.snapshot()["init"] == 25
 
@@ -646,13 +646,25 @@ def test_run_attack_budget_exhausted_during_init_is_init_failure():
     w[0] = 1.0
     oracle = HalfspaceOracle(w, offset=-10.0)
     cfg = AttackConfig(max_init_tries=1000, max_queries=5, seed=0)
-    with pytest.raises(InitFailedError) as excinfo:
-        run_attack(oracle, np.full(6, 0.5), cfg)
-    assert excinfo.value.trace.status == INIT_FAILED
-    assert excinfo.value.trace.ledger.total_queries == 5
+    best, trace = run_attack(oracle, np.full(6, 0.5), cfg)
+    assert best is None
+    assert trace.status == INIT_FAILED
+    assert trace.error == "query budget exhausted before an adversarial point was found"
+    assert trace.rows == []
+    assert trace.ledger.total_queries == 5
 
 
-def test_run_attack_targeted_mode():
+def test_run_attack_returns_no_error_unless_the_run_failed():
+    oracle, center = sphere_setup(seed=8)
+    for max_queries, status in ((None, COMPLETED), (40, BUDGET_EXHAUSTED)):
+        cfg = AttackConfig(iterations=3, initial_samples=10, max_queries=max_queries,
+                           seed=1)
+        _, trace = run_attack(oracle, center, cfg)
+        assert trace.status == status
+        assert trace.error is None
+
+
+def test_run_attack_starts_from_target_image():
     oracle, center = sphere_setup(seed=10)
     start = np.clip(center + 0.9, 0.0, 1.0)  # far corner, outside the ball
     cfg = AttackConfig(iterations=10, init_target_image=start, seed=0)
@@ -689,14 +701,29 @@ def test_run_attack_oracle_failure_attaches_partial_trace():
     planted = OracleFailedError("pipe snapped")
     oracle = ScriptedOracle(3, [1], exhausted_error=planted)
     cfg = AttackConfig(max_init_tries=1, seed=0)
-    with pytest.raises(OracleFailedError) as excinfo:
-        run_attack(oracle, np.full(3, 0.5), cfg)
-    trace = excinfo.value.trace
+    best, trace = run_attack(oracle, np.full(3, 0.5), cfg)
     assert trace.status == ORACLE_FAILED
+    assert trace.error == "pipe snapped"
     assert trace.rows == []
+    # the start point was found before the oracle failed
+    assert best is not None
     # the garbled/failed call itself was spent before the error surfaced
     assert trace.ledger.snapshot() == {"init": 1, "binsearch": 1,
                                        "gradient": 0, "step": 0}
+
+
+def test_run_attack_degenerate_estimate_is_oracle_failure():
+    # In one dimension two LHS probes are -1 and +1; two +1 answers cancel,
+    # so the estimate vanishes on its draw and again on its redraw.
+    oracle = ScriptedOracle(1, [1, -1, 1, 1, 1, 1])
+    cfg = AttackConfig(initial_samples=2, bisect_tol=0.5, seed=0)
+    best, trace = run_attack(oracle, np.array([0.5]), cfg)
+    assert trace.status == ORACLE_FAILED
+    assert trace.error == "signed-probe average vanished twice; boundary locally symmetric"
+    assert [r.t for r in trace.rows] == [0]
+    assert trace.ledger.snapshot() == {"init": 1, "binsearch": 1,
+                                       "gradient": 4, "step": 0}
+    assert best is not None
 
 
 def test_run_attack_one_dimensional_needs_explicit_tolerance():
@@ -753,7 +780,7 @@ def test_run_attack_paired_sampler_comparison_on_halfspace():
         for kind in (LHS, SRS):
             cfg = AttackConfig(initial_samples=30, iterations=20,
                                sampler_kind=kind, seed=pair)
-            oracle = HalfspaceOracle(w, b, original=x_star)
+            oracle = HalfspaceOracle(w, b)
             _, trace = run_attack(oracle, x_star, cfg)
             assert trace.status == COMPLETED
             finals[kind].append(trace.final_distortion)

@@ -449,6 +449,28 @@ iterations = 4
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
+def test_bench_rejected_config_leaves_no_output_dir(tmp_path, capsys, mlp_fixture_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"""\
+[oracle ball]
+kind = hypersphere
+radius = 0.45
+
+[oracle net]
+kind = mlp
+weights = {mlp_fixture_path}
+
+[points]
+source = inline
+values = 0.5 0.5 0.5
+""")
+    out_dir = tmp_path / "artifacts"
+    rc = main(["bench", str(cfg), "--output-dir", str(out_dir)])
+    assert rc == 1
+    assert "take 64 inputs but points have dimension 3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bench_missing_config(tmp_path, capsys):
     rc = main(["bench", str(tmp_path / "missing.cfg")])
     assert rc == 1
@@ -585,6 +607,19 @@ def test_oracle_serve_rejects_conflicting_dims(capsys):
     rc = main(["oracle-serve", "hypersphere:r=0.5,m=4,center=0.5;0.5;0.5"])
     assert rc == 1
     assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--max-init-tries", "5"], "no adversarial point among 5 uniform draws"),
+    (["--budget", "3"], "query budget exhausted before an adversarial point was found"),
+])
+def test_attack_failed_run_still_writes_its_trace(tmp_path, capsys, flags, error):
+    out = tmp_path / "t.csv"
+    rc = main(["attack", "--oracle", "halfspace:w=1;0;0,b=-10", "--point", "0.5 0.5 0.5",
+               "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"lhsattack: attack failed: {error}\n"
+    assert out.read_text().splitlines()[-1] == "# status=init_failed"
 
 
 def test_attack_external_oracle_death_is_runtime_failure(tmp_path, capsys):

@@ -22,6 +22,7 @@ from lhsattack.harness import (
     ExperimentConfig,
     OracleSpecConfig,
     PointsConfig,
+    distortion_at_budget,
     run_experiment,
 )
 from lhsattack.oracles import (
@@ -325,8 +326,8 @@ def halfspace_grid(tmp_path, spec):
         budgets=[2000], base_seed=5, output_dir=str(tmp_path / spec.kind))
 
 
-@pytest.mark.parametrize("fault", ["late", "exit", "garbage"])
-def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
+def flaky_and_in_process_grids(tmp_path, fault):
+    """The halfspace grid run through a flaky child (fault at query 30) and in process."""
     src = os.path.dirname(os.path.dirname(lhsattack.__file__))
     path = tmp_path / "flaky.py"
     path.write_text(FLAKY_HALFSPACE)
@@ -337,6 +338,12 @@ def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
         name="net", kind="external", cmd=cmd, dim=8, timeout=3.0)))
     in_process = run_experiment(halfspace_grid(tmp_path, OracleSpecConfig(
         name="net", kind="halfspace", normal=HALFSPACE_NORMAL, offset=HALFSPACE_OFFSET)))
+    return external, in_process
+
+
+@pytest.mark.parametrize("fault", ["late", "exit", "garbage"])
+def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
+    external, in_process = flaky_and_in_process_grids(tmp_path, fault)
 
     # query 30 falls inside the first attack, which fails; every later run
     # gets a fresh child and exactly the in-process answers
@@ -347,6 +354,29 @@ def test_oracle_failure_does_not_leak_into_later_runs(tmp_path, fault):
         assert got.status == want.status == "completed"
         key = (got.oracle, got.sampler, got.point_index, got.rep)
         assert external.traces[key].rows == in_process.traces[key].rows
+
+
+def test_failed_run_is_left_out_of_the_summary(tmp_path):
+    external, in_process = flaky_and_in_process_grids(tmp_path, "exit")
+    failed = external.runs[0]
+    assert (failed.sampler, failed.status) == ("lhs", "oracle_failed")
+    # the failed run keeps its trace, its trace CSV and its "# failed" line
+    key = (failed.oracle, failed.sampler, failed.point_index, failed.rep)
+    assert external.traces[key].error == failed.error is not None
+    assert external.traces[key].rows
+    assert os.path.exists(failed.trace_path)
+    with open(external.summary_path, encoding="ascii") as fh:
+        assert "# failed oracle=net sampler=lhs point=0 rep=0 status=oracle_failed\n" \
+            in fh.read()
+    # but only the two lhs runs that completed are aggregated
+    kept = [in_process.traces[k] for k in in_process.traces if k[1] == "lhs" and k != key]
+    lhs_rows = [r for r in external.summary_rows if r.sampler == "lhs"]
+    assert [(r.statistic, r.repetitions) for r in lhs_rows] == [("mean", 2), ("median", 2)]
+    finals = [distortion_at_budget(t, 2000) for t in kept]
+    assert [r.distortion for r in lhs_rows] == [float(np.mean(finals)),
+                                                 float(np.median(finals))]
+    assert [r for r in external.summary_rows if r.sampler == "srs"] == \
+        [r for r in in_process.summary_rows if r.sampler == "srs"]
 
 
 def test_child_exit_inside_a_later_chunk_fails_the_whole_batch(tmp_path):

@@ -328,7 +328,8 @@ def test_mlp_oracle_infers_original_class_from_point():
 
 
 def test_mlp_oracle_untargeted_requires_class_or_point():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^an mlp oracle without target_class needs "
+                                         "an original point or original_class$"):
         MlpOracle(two_class_line_model())
 
 
