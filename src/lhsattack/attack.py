@@ -32,6 +32,7 @@ from .oracles import (
 )
 from .rng import NS_GRADIENT, NS_INIT, substream_seed
 from .samplers import LHS, SRS, lhs_normal, srs_normal, normalize_rows
+from .samplers import _SPLIT_ELEMENTS, _by_rows
 
 __all__ = [
     "COMPLETED",
@@ -369,6 +370,12 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     If the average is numerically zero (or a noise row degenerates to
     zero), the batch is re-drawn once from a child stream of ``seed``;
     a second failure raises :class:`EstimateDegenerateError`.
+
+    A batch of ``samplers._SPLIT_ELEMENTS`` or more elements is normalized
+    and turned into probes in place, one row block at a time, on the
+    sampler threads (:func:`_unit_probes`); a smaller one goes through
+    :func:`normalize_rows` and whole-array arithmetic. Both give the same
+    bits.
     """
     x = np.asarray(getattr(x, "point", x), dtype=np.float64)
     if x.shape != (oracle.dim,):
@@ -385,12 +392,15 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     for attempt in (0, 1):
         batch = sampler(n_samples, oracle.dim, substream_seed(seed, attempt))
         try:
-            batch = normalize_rows(batch)
+            if batch.rows.size >= _SPLIT_ELEMENTS:
+                probes = _unit_probes(batch.rows, x, probe_step, clip_low, clip_high)
+            else:
+                batch = normalize_rows(batch)
+                probes = probe_step * batch.rows
+                probes += x
+                clip(probes, clip_low, clip_high, out=probes)
         except DegenerateSampleError:
             continue
-        probes = probe_step * batch.rows
-        probes += x
-        clip(probes, clip_low, clip_high, out=probes)
         decisions = oracle.decide_batch(probes, PHASE_GRADIENT).astype(np.float64)
         raw_mean = (decisions @ batch.rows) / n_samples
         norm = _norm(raw_mean)
@@ -400,6 +410,37 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
                                 agree_count=int((decisions > 0.0).sum()))
     raise EstimateDegenerateError(
         "signed-probe average vanished twice; boundary locally symmetric")
+
+
+def _unit_probes(rows, x, probe_step: float, clip_low: float, clip_high: float):
+    """Scale ``rows`` to unit length in place; return clip(probe_step * row + x).
+
+    The same bits as :func:`normalize_rows` followed by the probe
+    arithmetic of :func:`estimate_gradient`: a row's norm is the square
+    root of ``add.reduce`` over the row's squares, as in
+    ``np.linalg.norm``. Every step runs on one row block at a time, with
+    the block's probes as scratch space for the squares.
+
+    Raises
+    ------
+    DegenerateSampleError
+        If any row is the zero vector.
+    """
+    probes = np.empty_like(rows)
+
+    def work(a, b):
+        block, out = rows[a:b], probes[a:b]
+        np.multiply(block, block, out=out)
+        norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
+        if (norms == 0.0).any():
+            raise DegenerateSampleError("zero row cannot be normalized")
+        block /= norms
+        np.multiply(block, probe_step, out=out)
+        out += x
+        clip(out, clip_low, clip_high, out=out)
+
+    _by_rows(work, *rows.shape)
+    return probes
 
 
 def step_forward(x, estimate: GradientEstimate, step_size: float,

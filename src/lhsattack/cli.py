@@ -209,7 +209,8 @@ def cmd_bench(args) -> int:
     if failures:
         _err(f"{len(failures)} of {len(result.runs)} runs failed; see summary comments")
     print(f"summary written to {result.summary_path}")
-    return 0
+    # A grid whose every run failed produced nothing to compare.
+    return 2 if failures and len(failures) == len(result.runs) else 0
 
 
 def cmd_sample(args) -> int:

@@ -30,9 +30,17 @@ def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     ``Generator.random`` covers [0, 1); exact zeros (probability 2^-53 per
     cell) are re-drawn so downstream quantile transforms stay finite.
     """
-    u = rng.random(shape)
+    return redraw_zeros(rng, rng.random(shape))
+
+
+def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """Re-draw the exact zeros of ``u`` in place, in C order, and return it.
+
+    Each round draws one value per zero left from ``rng``, as
+    :func:`open_unit` does after its first draw.
+    """
     # ``random`` returns no negative value or NaN, so this is ``u.all()``.
-    while not u.min() > 0.0:
+    while u.size and not u.min() > 0.0:
         mask = u == 0.0
         u[mask] = rng.random(int(mask.sum()))
     return u

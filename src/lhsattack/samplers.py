@@ -8,15 +8,20 @@ per equal-mass stratum and dimension). Paired LHS/SRS experiments therefore
 differ only by the stratification, which is what makes the ablations in this
 package sharp.
 
-Every uniform of a batch is drawn on the calling thread, from one stream and
-in one order. The per-column work after that (the LHS ranks, the
-``(stratum + jitter) / n`` step and the quantile) runs on the whole batch at
-once, or, for a batch of ``_SPLIT_ELEMENTS`` or more elements when two CPUs
-are usable, over chunks of contiguous columns that the calling thread and a
-module-level worker thread share. Both write in place into arrays the caller
-allocated. Every value is computed by the same elementwise or per-column
-operation whichever thread does it, so the batch is bit-identical. Smaller
-batches, such as every probe batch at d = 64, run on the calling thread.
+A batch of ``_SPLIT_ELEMENTS`` or more elements, when two CPUs are usable,
+is worked by the calling thread and a module-level worker thread together:
+- the uniforms are drawn in contiguous row blocks, each from a copy of the
+  batch's PCG64 stream advanced to the block's offset, and the exact zeros
+  are then re-drawn from the stream's end in :func:`lhsattack.rng.open_unit`'s
+  order;
+- the LHS ranks, the ``(stratum + jitter) / n`` step and the LHS quantile
+  run over chunks of contiguous columns;
+- the SRS quantile runs over the row blocks.
+Every value is computed by the same elementwise, per-row or per-column
+operation whichever thread does it, and written in place into an array the
+caller allocated, so the batch is bit-identical to a one-thread draw.
+Smaller batches, such as every probe batch at d = 64, run on the calling
+thread alone, in one call per step.
 
 ``scipy.special`` is imported by the first call that needs ``ndtri`` or
 ``ndtr``, on the calling thread, so importing the package (and serving an
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .rng import open_unit
+from .rng import open_unit as _open_unit_whole, redraw_zeros
 
 __all__ = [
     "LHS",
@@ -154,8 +159,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that share the per-column work of a large batch: one per usable
-# CPU, at most 2 (the count that was measured).
+# Threads that share the work of a large batch: one per usable CPU, at most
+# 2 (the count that was measured).
 _THREADS = min(_usable_cpus(), 2)
 # Batches of fewer elements run on the calling thread alone: on a 2-core
 # box, handing work to a worker thread cost more than it saved below
@@ -191,21 +196,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _by_columns(work, n_samples: int, dim: int) -> None:
-    """Call ``work(a, b)`` on column ranges ``a:b`` that cover ``dim``.
+def _splits(n_samples: int, dim: int) -> bool:
+    """Whether a batch is shared between threads: it is large, and two
+    CPUs are usable."""
+    return _THREADS > 1 and n_samples * dim >= _SPLIT_ELEMENTS
 
-    Below ``_SPLIT_ELEMENTS`` elements, or with one thread, the calling
-    thread makes one call on all the columns. Above, the calling thread and
-    ``_THREADS - 1`` pool threads take chunks of columns from one shared
-    list until it is empty, so a thread that is slowed down takes fewer.
-    Every chunk has finished before this returns or raises a chunk's
-    exception.
+
+def _by_columns(work, n_samples: int, dim: int) -> None:
+    """Call ``work(a, b)`` on column ranges ``a:b`` that cover ``dim``: chunks
+    of about ``_CHUNK_ELEMENTS`` elements for a batch that :func:`_splits`,
+    else all the columns at once."""
+    _share(work, dim, max(1, _CHUNK_ELEMENTS // n_samples)
+           if _splits(n_samples, dim) else dim)
+
+
+def _by_rows(work, n_samples: int, dim: int) -> None:
+    """Call ``work(a, b)`` on row ranges ``a:b`` that cover ``n_samples``: one
+    contiguous block per thread for a batch that :func:`_splits`, else all
+    the rows at once."""
+    _share(work, n_samples, -(-n_samples // _THREADS)
+           if _splits(n_samples, dim) else n_samples)
+
+
+def _share(work, length: int, step: int) -> None:
+    """Call ``work(a, b)`` on the ranges of ``step`` indices that cover
+    ``range(length)``.
+
+    One range is worked on the calling thread. More are shared: the calling
+    thread and ``_THREADS - 1`` pool threads take ranges from one list until
+    it is empty, so a thread that is slowed down takes fewer. Every range
+    has finished before this returns or raises a range's exception.
     """
-    if _THREADS < 2 or n_samples * dim < _SPLIT_ELEMENTS:
-        work(0, dim)
+    if step >= length:
+        work(0, length)
         return
-    step = max(1, _CHUNK_ELEMENTS // n_samples)
-    chunks = iter([(a, min(a + step, dim)) for a in range(0, dim, step)])
+    chunks = iter([(a, min(a + step, length)) for a in range(0, length, step)])
     lock = threading.Lock()
 
     def drain():
@@ -223,6 +248,49 @@ def _by_columns(work, n_samples: int, dim: int) -> None:
         wait(futures)
         for future in futures:
             future.result()
+
+
+_local = threading.local()
+
+
+def _generator_at(state: dict, offset: int) -> np.random.Generator:
+    """This thread's own generator, set to the PCG64 ``state`` moved on by
+    ``offset`` draws. Every use sets the whole state, so no draw depends on
+    an earlier one. Setting a kept generator costs a few microseconds;
+    seeding a new one costs about ten times that."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = state
+    gen.bit_generator.advance(offset)
+    return gen
+
+
+def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
+    """:func:`lhsattack.rng.open_unit` of a PCG64 generator, bit for bit.
+
+    For a ``(n_samples, dim)`` batch that :func:`_splits`, each row block
+    is drawn from a copy of ``rng``'s stream advanced by the block's
+    offset, and looked over for exact zeros. ``rng`` is then advanced past
+    the whole array, where the one stream's draws for the zeros start.
+    """
+    n_samples, dim = shape
+    if not _splits(n_samples, dim):
+        return _open_unit_whole(rng, shape)
+    u = np.empty(shape)
+    bits = rng.bit_generator
+    state = bits.state
+    zeros = []
+
+    def work(a, b):
+        block = u[a:b]
+        _generator_at(state, a * dim).random(out=block)
+        if not block.min() > 0.0:
+            zeros.append(a)
+
+    _by_rows(work, n_samples, dim)
+    bits.advance(n_samples * dim)
+    return redraw_zeros(rng, u) if zeros else u
 
 
 def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
@@ -291,7 +359,7 @@ def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     _load_special()
     rows = open_unit(np.random.default_rng(seed), (n_samples, dim))
 
-    _by_columns(lambda a, b: _quantile_in_place(rows[:, a:b]), n_samples, dim)
+    _by_rows(lambda a, b: _quantile_in_place(rows[a:b]), n_samples, dim)
     return SampleBatch(rows=rows, sampler_kind=SRS, seed=int(seed))
 
 

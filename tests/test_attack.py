@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from lhsattack.attack import (
     schedule_step_size,
     step_forward,
 )
+from lhsattack import attack, samplers
 from lhsattack.errors import (
     InitFailedError,
     OracleFailedError,
@@ -463,6 +466,117 @@ def test_estimate_domain_errors():
         estimate_gradient(oracle, x, 4, 1e-3, "sobol", seed=0)
     with pytest.raises(ValueError):
         estimate_gradient(oracle, np.ones(4), 4, 1e-3, LHS, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# estimate_gradient on batches of samplers._SPLIT_ELEMENTS or more elements:
+# one in-place normalize-and-probe pass over row blocks
+
+BOUND = samplers._SPLIT_ELEMENTS
+# Just below and at or above the bound; an odd column count; two columns.
+SPLIT_SHAPES = [(256, BOUND // 256 - 1), (256, BOUND // 256), (150, BOUND // 150 + 1),
+                (samplers._CHUNK_ELEMENTS + 7, 2)]
+SAMPLER_FUNCTIONS = {LHS: lhs_normal, SRS: srs_normal}
+
+
+class RecordingHalfspace(HalfspaceOracle):
+    """A halfspace that keeps a copy of every probe batch it answers."""
+
+    def __init__(self, normal, offset):
+        super().__init__(normal, offset)
+        self.batches = []
+
+    def _decide_batch(self, X):
+        self.batches.append(X.copy())
+        return super()._decide_batch(X)
+
+
+def large_batch_setup(dim, seed=0):
+    """A point with coordinates on and near the box's faces, and a recording
+    halfspace through it, so the probes straddle the plane and get clipped."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(dim)
+    x[::7] = 0.0
+    x[3::7] = 1.0
+    normal = rng.normal(size=dim)
+    return x, RecordingHalfspace(normal, -float(normal @ x))
+
+
+def reference_probes(kind, shape, x, probe_step, seed, attempt=0):
+    """Unit rows by normalize_rows, then clip(probe_step * rows + x)."""
+    batch = normalize_rows(SAMPLER_FUNCTIONS[kind](*shape, substream_seed(seed, attempt)))
+    return batch.rows, clip(probe_step * batch.rows + x)
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+@pytest.mark.parametrize("kind", [LHS, SRS])
+def test_large_estimate_matches_normalize_then_probe_reference(shape, kind):
+    n, dim = shape
+    x, halfspace = large_batch_setup(dim)
+    est = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, kind, seed=4)
+    rows, probes = reference_probes(kind, shape, x, 0.05, seed=4)
+    assert len(halfspace.batches) == 1
+    assert halfspace.batches[0].tobytes() == probes.tobytes()
+    decisions = HalfspaceOracle._decide_batch(halfspace, probes).astype(np.float64)
+    assert 0 < est.agree_count < n
+    assert est.raw_mean.tobytes() == ((decisions @ rows) / n).tobytes()
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_large_estimate_on_one_thread_is_the_same_and_starts_no_pool(monkeypatch, shape):
+    n, dim = shape
+    x, halfspace = large_batch_setup(dim, seed=1)
+    want = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, LHS, seed=6)
+    monkeypatch.setattr(samplers, "_THREADS", 1)
+    monkeypatch.setattr(samplers, "_pool", lambda: pytest.fail("pool requested"))
+    got = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, LHS, seed=6)
+    assert halfspace.batches[1].tobytes() == halfspace.batches[0].tobytes()
+    assert got.raw_mean.tobytes() == want.raw_mean.tobytes()
+
+
+@pytest.mark.parametrize("kind", [LHS, SRS])
+@pytest.mark.parametrize("row", [0, -1])
+def test_large_estimate_redraws_a_batch_with_a_zero_row(monkeypatch, kind, row):
+    # Row 0 falls in the first row block and row -1 in the last.
+    shape = SPLIT_SHAPES[2]
+    n, dim = shape
+    sampler = SAMPLER_FUNCTIONS[kind]
+
+    def zero_row_on_first_draw(n_samples, d, seed):
+        batch = sampler(n_samples, d, seed)
+        if seed == substream_seed(9, 0):
+            batch.rows[row] = 0.0
+        return batch
+
+    monkeypatch.setitem(attack._SAMPLERS, kind, zero_row_on_first_draw)
+    x, halfspace = large_batch_setup(dim, seed=2)
+    oracle = MeteredOracle(halfspace)
+    est = estimate_gradient(oracle, x, n, 0.05, kind, seed=9)
+    rows, probes = reference_probes(kind, shape, x, 0.05, seed=9, attempt=1)
+    assert oracle.ledger.snapshot()["gradient"] == n
+    assert len(halfspace.batches) == 1
+    assert halfspace.batches[0].tobytes() == probes.tobytes()
+    decisions = HalfspaceOracle._decide_batch(halfspace, probes).astype(np.float64)
+    assert est.raw_mean.tobytes() == ((decisions @ rows) / n).tobytes()
+
+
+def test_large_estimate_worker_error_reaches_caller(monkeypatch):
+    n, dim = SPLIT_SHAPES[2]
+    real_clip = attack.clip
+
+    def fails_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.01)   # leave the other row block for the worker
+        else:
+            raise ValueError("raised on a worker thread")
+        return real_clip(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "clip", fails_off_main_thread)
+    monkeypatch.setattr(samplers, "_THREADS", 2)   # a worker even on one CPU
+    x, halfspace = large_batch_setup(dim)
+    with pytest.raises(ValueError, match="raised on a worker thread"):
+        estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, SRS, seed=0)
+    assert halfspace.batches == []
 
 
 # ---------------------------------------------------------------------------

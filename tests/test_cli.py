@@ -471,6 +471,52 @@ values = 0.5 0.5 0.5
     assert not out_dir.exists()
 
 
+BALL_AND_DEAD_CHILD = """\
+[experiment]
+budgets = 200
+
+[oracle dead]
+kind = external
+cmd = {python} {stub}
+dim = 3
+{ball}
+[points]
+source = inline
+values = 0.5 0.5 0.5
+
+[attack]
+initial_samples = 6
+iterations = 4
+"""
+BALL = """
+[oracle ball]
+kind = hypersphere
+radius = 0.25
+"""
+
+
+def test_bench_exits_2_when_every_run_failed(tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text(DIES_AFTER_HANDSHAKE)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BALL_AND_DEAD_CHILD.format(python=sys.executable, stub=stub, ball=""))
+    rc = main(["bench", str(cfg), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert "2 of 2 runs failed; see summary comments" in captured.err
+    assert rc == 2
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_bench_exits_0_when_some_run_did_not_fail(tmp_path, capsys):
+    stub = tmp_path / "stub.py"
+    stub.write_text(DIES_AFTER_HANDSHAKE)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BALL_AND_DEAD_CHILD.format(python=sys.executable, stub=stub, ball=BALL))
+    rc = main(["bench", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert "2 of 4 runs failed; see summary comments" in capsys.readouterr().err
+    assert rc == 0
+
+
 def test_bench_missing_config(tmp_path, capsys):
     rc = main(["bench", str(tmp_path / "missing.cfg")])
     assert rc == 1

@@ -257,6 +257,12 @@ def test_open_unit_redraws_exact_zeros_like_reference():
     assert (got > 0.0).all()
 
 
+def test_open_unit_of_an_empty_shape_is_empty():
+    u = open_unit(np.random.default_rng(0), (0, 3))
+    assert u.shape == (0, 3)
+    assert u.dtype == np.float64
+
+
 def test_srs_domain_errors():
     with pytest.raises(ValueError):
         srs_normal(0, 1, seed=0)
@@ -265,7 +271,7 @@ def test_srs_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# Column blocks: batches of _SPLIT_ELEMENTS or more split over threads
+# Batches of _SPLIT_ELEMENTS or more: row blocks and column chunks on threads
 
 BOUND = samplers._SPLIT_ELEMENTS
 # Just below and at or above the bound; an odd column count; more rows than
@@ -294,23 +300,95 @@ def test_split_srs_matches_reference_bit_for_bit(shape):
 @pytest.mark.parametrize("shape", SPLIT_SHAPES)
 def test_one_thread_works_the_whole_batch_in_one_call(monkeypatch, shape):
     monkeypatch.setattr(samplers, "_THREADS", 1)
+    monkeypatch.setattr(samplers, "_pool", lambda: pytest.fail("pool requested"))
     calls = []
-    by_columns = samplers._by_columns
 
-    def counted(work, n_samples, dim):
-        def once(a, b):
-            calls.append((a, b))
-            work(a, b)
-        by_columns(once, n_samples, dim)
+    def counted(axis, runner):
+        def run(work, n_samples, dim):
+            def once(a, b):
+                on_main = threading.current_thread() is threading.main_thread()
+                calls.append((axis, a, b, on_main))
+                work(a, b)
+            runner(once, n_samples, dim)
+        return run
 
-    monkeypatch.setattr(samplers, "_by_columns", counted)
+    monkeypatch.setattr(samplers, "_by_columns", counted("columns", samplers._by_columns))
+    monkeypatch.setattr(samplers, "_by_rows", counted("rows", samplers._by_rows))
     rows, strata = ref_lhs_normal(*shape, 3)
     batch = lhs_normal(*shape, seed=3)
     assert batch.rows.tobytes() == rows.tobytes()
     assert np.array_equal(batch.stratum_index, strata)
+    assert calls == [("columns", 0, shape[1], True)]
+    calls.clear()
     base = ref_open_unit(np.random.default_rng(3), shape)
     assert srs_normal(*shape, seed=3).rows.tobytes() == ndtri(base).tobytes()
-    assert calls == [(0, shape[1])] * 2
+    assert calls == [("rows", 0, shape[0], True)]
+
+
+def planted_zero_bits(k, seed=0):
+    """A PCG64 whose draw number ``k`` (from 0) is exactly 0.0.
+
+    The generator outputs the xor of the high and low halves of its
+    128-bit state, rotated, so a state with equal halves outputs 0. Set
+    that state and step back ``k + 1`` draws; the stream's increment stays
+    the seed's.
+    """
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    half = state["state"]["state"] & ((1 << 64) - 1)
+    state["state"]["state"] = (half << 64) | half
+    bits.state = state
+    bits.advance(2 ** 128 - k - 1)
+    return bits
+
+
+def planted_default_rng(k):
+    return lambda seed: np.random.Generator(planted_zero_bits(k, seed))
+
+
+def zero_positions(shape):
+    """A cell in the first row block and one in the second, in C order."""
+    n, d = shape
+    return [d // 3, (n - 1) * d + d // 2]
+
+
+def test_planted_zero_bits_draws_one_exact_zero():
+    for k in (0, 5, 4321):
+        u = np.random.Generator(planted_zero_bits(k, 7)).random(5000)
+        assert np.flatnonzero(u == 0.0).tolist() == [k]
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_split_draw_matches_reference_with_a_planted_zero(shape):
+    for k in zero_positions(shape):
+        rng = np.random.Generator(planted_zero_bits(k, 11))
+        want_rng = np.random.Generator(planted_zero_bits(k, 11))
+        got = samplers.open_unit(rng, shape)
+        want = ref_open_unit(want_rng, shape)
+        assert got.tobytes() == want.tobytes()
+        assert (got > 0.0).all()
+        # The re-draw came from the end of the stream, and the caller's
+        # generator is left where the reference's is.
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_split_lhs_with_a_zero_in_its_base_moves_the_jitter_start(monkeypatch, shape):
+    # The zero's re-draw takes one value, so the jitter starts one draw on.
+    for k in zero_positions(shape):
+        monkeypatch.setattr(np.random, "default_rng", planted_default_rng(k))
+        rows, strata = ref_lhs_normal(*shape, 5)
+        batch = lhs_normal(*shape, seed=5)
+        assert batch.rows.tobytes() == rows.tobytes()
+        assert np.array_equal(batch.stratum_index, strata)
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_split_srs_with_a_planted_zero_matches_reference(monkeypatch, shape):
+    for k in zero_positions(shape):
+        monkeypatch.setattr(np.random, "default_rng", planted_default_rng(k))
+        base = ref_open_unit(np.random.default_rng(5), shape)
+        assert srs_normal(*shape, seed=5).rows.tobytes() == ndtri(base).tobytes()
 
 
 def test_split_lhs_breaks_ties_like_double_argsort(monkeypatch):
@@ -351,6 +429,23 @@ def test_split_chunk_error_reaches_caller(monkeypatch, sampler, column):
 
 
 @pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+def test_worker_thread_error_in_the_row_block_draw_reaches_caller(monkeypatch, sampler):
+    generator_at = samplers._generator_at
+
+    def fails_off_main_thread(state, offset):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.01)   # leave the other block for the worker
+        else:
+            raise ValueError("raised on a worker thread")
+        return generator_at(state, offset)
+
+    monkeypatch.setattr(samplers, "_generator_at", fails_off_main_thread)
+    monkeypatch.setattr(samplers, "_THREADS", 2)   # a worker even on one CPU
+    with pytest.raises(ValueError, match="raised on a worker thread"):
+        sampler(150, BOUND // 150 + 1, seed=3)
+
+
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
 def test_worker_thread_error_reaches_caller(monkeypatch, sampler):
     quantile = samplers._quantile_in_place
 
@@ -362,6 +457,7 @@ def test_worker_thread_error_reaches_caller(monkeypatch, sampler):
         quantile(p)
 
     monkeypatch.setattr(samplers, "_quantile_in_place", fails_off_main_thread)
+    monkeypatch.setattr(samplers, "_THREADS", 2)   # a worker even on one CPU
     with pytest.raises(ValueError, match="raised on a worker thread"):
         sampler(150, BOUND // 150 + 1, seed=3)
 
