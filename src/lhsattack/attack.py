@@ -31,8 +31,10 @@ from .oracles import (
     QueryLedger,
 )
 from .rng import NS_GRADIENT, NS_INIT, substream_seed
-from .samplers import LHS, SRS, lhs_normal, srs_normal, normalize_rows
-from .samplers import _SPLIT_ELEMENTS, _by_rows
+from .samplers import LHS, SRS, _by_rows, lhs_normal, srs_normal
+# Not called here (_unit_probes normalizes), but perfbench's tracer wraps
+# attack.normalize_rows by name.
+from .samplers import normalize_rows
 
 __all__ = [
     "COMPLETED",
@@ -371,11 +373,10 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     zero), the batch is re-drawn once from a child stream of ``seed``;
     a second failure raises :class:`EstimateDegenerateError`.
 
-    A batch of ``samplers._SPLIT_ELEMENTS`` or more elements is normalized
-    and turned into probes in place, one row block at a time, on the
-    sampler threads (:func:`_unit_probes`); a smaller one goes through
-    :func:`normalize_rows` and whole-array arithmetic. Both give the same
-    bits.
+    The rows are normalized and turned into probes in place by
+    :func:`_unit_probes`, one row block per sampler thread for a large
+    batch, with the bits of :func:`~lhsattack.samplers.normalize_rows`
+    followed by the probe arithmetic.
     """
     x = np.asarray(getattr(x, "point", x), dtype=np.float64)
     if x.shape != (oracle.dim,):
@@ -392,13 +393,7 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     for attempt in (0, 1):
         batch = sampler(n_samples, oracle.dim, substream_seed(seed, attempt))
         try:
-            if batch.rows.size >= _SPLIT_ELEMENTS:
-                probes = _unit_probes(batch.rows, x, probe_step, clip_low, clip_high)
-            else:
-                batch = normalize_rows(batch)
-                probes = probe_step * batch.rows
-                probes += x
-                clip(probes, clip_low, clip_high, out=probes)
+            probes = _unit_probes(batch.rows, x, probe_step, clip_low, clip_high)
         except DegenerateSampleError:
             continue
         decisions = oracle.decide_batch(probes, PHASE_GRADIENT).astype(np.float64)
@@ -415,11 +410,12 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
 def _unit_probes(rows, x, probe_step: float, clip_low: float, clip_high: float):
     """Scale ``rows`` to unit length in place; return clip(probe_step * row + x).
 
-    The same bits as :func:`normalize_rows` followed by the probe
-    arithmetic of :func:`estimate_gradient`: a row's norm is the square
-    root of ``add.reduce`` over the row's squares, as in
-    ``np.linalg.norm``. Every step runs on one row block at a time, with
-    the block's probes as scratch space for the squares.
+    The same bits as :func:`normalize_rows` followed by
+    ``clip(probe_step * rows + x)``: a row's norm is the square root of
+    ``add.reduce`` over the row's squares, as in ``np.linalg.norm``. Every
+    step runs on one row block at a time (all the rows at once for a batch
+    below the split), with the block's probes as scratch space for the
+    squares.
 
     Raises
     ------

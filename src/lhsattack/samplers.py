@@ -250,20 +250,11 @@ def _share(work, length: int, step: int) -> None:
             future.result()
 
 
-_local = threading.local()
-
-
 def _generator_at(state: dict, offset: int) -> np.random.Generator:
-    """This thread's own generator, set to the PCG64 ``state`` moved on by
-    ``offset`` draws. Every use sets the whole state, so no draw depends on
-    an earlier one. Setting a kept generator costs a few microseconds;
-    seeding a new one costs about ten times that."""
-    gen = getattr(_local, "generator", None)
-    if gen is None:
-        gen = _local.generator = np.random.Generator(np.random.PCG64())
-    gen.bit_generator.state = state
-    gen.bit_generator.advance(offset)
-    return gen
+    """A new generator at the PCG64 ``state`` moved on by ``offset`` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
 
 
 def open_unit(rng: np.random.Generator, shape) -> np.ndarray:

@@ -469,8 +469,8 @@ def test_estimate_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# estimate_gradient on batches of samplers._SPLIT_ELEMENTS or more elements:
-# one in-place normalize-and-probe pass over row blocks
+# estimate_gradient's in-place normalize-and-probe pass, over row blocks for
+# batches of samplers._SPLIT_ELEMENTS or more elements
 
 BOUND = samplers._SPLIT_ELEMENTS
 # Just below and at or above the bound; an odd column count; two columns.
@@ -508,9 +508,10 @@ def reference_probes(kind, shape, x, probe_step, seed, attempt=0):
     return batch.rows, clip(probe_step * batch.rows + x)
 
 
-@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+# Below the split the same pass runs once, over all the rows.
+@pytest.mark.parametrize("shape", [(16, 5), (150, 64), (229, 64)] + SPLIT_SHAPES)
 @pytest.mark.parametrize("kind", [LHS, SRS])
-def test_large_estimate_matches_normalize_then_probe_reference(shape, kind):
+def test_estimate_matches_normalize_then_probe_reference(shape, kind):
     n, dim = shape
     x, halfspace = large_batch_setup(dim)
     est = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, kind, seed=4)
