@@ -80,7 +80,8 @@ class AttackConfig:
         Number of boundary-walk iterations after the initial projection.
     bisect_tol : float or None
         Stopping width for the bisection bracket, in the [0, 1] blend
-        parameter; at least 2**-53. ``None`` selects dim ** -1.5 at run time.
+        parameter; at least 2**-53. ``None`` selects dim ** -1.5 at run time,
+        which 1-D inputs cannot use (see :meth:`check_dim`).
     max_queries : int or None
         Hard cap on total oracle queries; ``None`` means unlimited.
     sampler_kind : str
@@ -138,13 +139,13 @@ class AttackConfig:
         if not self.clip_low < self.clip_high:
             raise ValueError("clip_low must be < clip_high")
 
-    def check_clip_box(self, dim: int) -> None:
-        """Reject a clip box whose diagonal is too long in ``dim`` coordinates.
-
-        Distances between points of the box are square roots of sums of
-        squares, which overflow once the width times sqrt(dim) passes
-        about 1.3e154; a squared diagonal of at most 2**1023 leaves room
-        for rounding in the sum.
+    def check_dim(self, dim: int) -> None:
+        """Reject a start image of another width than ``dim``, a default
+        ``bisect_tol`` (dim ** -1.5) that is not below 1, and a clip box too
+        wide for ``dim``: distances between points of the box are square
+        roots of sums of squares, which overflow once the width times
+        sqrt(dim) passes about 1.3e154; a squared diagonal of at most
+        2**1023 leaves room for rounding in the sum.
         """
         width = float(self.clip_high) - float(self.clip_low)
         if not width * width * dim <= 2.0 ** 1023:
@@ -152,6 +153,11 @@ class AttackConfig:
                 f"clip box width {width:g} is too wide for dimension {dim}: "
                 f"distances would overflow; width * sqrt(dim) must be at most "
                 f"{2.0 ** 511.5:.4g}")
+        if self.bisect_tol is None and dim < 2:
+            raise ValueError("bisection tolerance must lie in (0, 1); "
+                             "set bisect_tol explicitly for 1-dimensional inputs")
+        if self.init_target_image is not None and np.shape(self.init_target_image) != (dim,):
+            raise ValueError("init_target_image has the wrong dimension")
 
 
 def _check_bisect_tol(tol: float) -> None:
@@ -309,8 +315,6 @@ def initialize_adversarial(oracle: MeteredOracle, original, config: AttackConfig
         raise ValueError("original point has the wrong dimension")
     if config.init_target_image is not None:
         cand = clip(config.init_target_image, config.clip_low, config.clip_high)
-        if cand.shape != (oracle.dim,):
-            raise ValueError("init_target_image has the wrong dimension")
         if oracle.decide(cand, PHASE_INIT) == 1:
             return cand
         raise InitFailedError("init_target_image is not adversarial for this oracle")
@@ -507,11 +511,8 @@ def run_attack(oracle, original, config: AttackConfig):
     if original.shape != (metered.dim,):
         raise ValueError("original point has the wrong dimension")
     dim = metered.dim
-    config.check_clip_box(dim)
+    config.check_dim(dim)
     tol = config.bisect_tol if config.bisect_tol is not None else float(dim) ** -1.5
-    if not 0.0 < tol < 1.0:
-        raise ValueError("bisection tolerance must lie in (0, 1); "
-                         "set bisect_tol explicitly for 1-dimensional inputs")
     ledger = metered.ledger
     rows: list[TraceRow] = []
     best_dist = math.inf

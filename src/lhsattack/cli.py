@@ -40,12 +40,10 @@ from .harness import (
     OracleSpecConfig,
     build_oracle,
     emit_trace_csv,
-    generate_points,
     load_points_file,
     parse_config,
     run_experiment,
-    _cached_mlp,
-    _setup_decision,
+    _SetUp,
 )
 from .oracles import format_floats, serve_oracle
 from .samplers import (
@@ -124,68 +122,41 @@ def parse_oracle_spec(text: str) -> OracleSpecConfig:
     return OracleSpecConfig.from_text(kind, kind, items, _parse_vector)
 
 
-def _resolve_dim(spec: OracleSpecConfig, point, dim_flag, model_cache) -> int:
-    candidates = [d for _, d in spec.implied_dims()]
-    if point is not None:
-        candidates.append(len(point))
-    if dim_flag is not None:
-        candidates.append(dim_flag)
-    if spec.kind == "mlp":
-        candidates.append(_cached_mlp(spec.weights, model_cache).input_dim)
-    if not candidates:
-        raise ConfigError(
-            "input dimension unknown; give --point, --dim, or m= in the oracle spec")
-    if len(set(candidates)) != 1:
-        raise ConfigError(f"conflicting input dimensions {sorted(set(candidates))}")
-    return candidates[0]
-
-
 def cmd_attack(args) -> int:
     spec = parse_oracle_spec(args.oracle)
-    model_cache: dict = {}
-
     point = None
     if args.point is not None:
         try:
             point = np.array([float(t) for t in args.point.split()], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"--point: {exc}") from exc
+        if point.size == 0:
+            raise ConfigError("--point: no values")
         if not np.isfinite(point).all():
             raise ConfigError("--point: coordinates must be finite")
     elif args.point_file is not None:
         point = load_points_file(args.point_file)[0]
-    spec.dim = _resolve_dim(spec, point, args.dim, model_cache)
+    dim = args.dim or 0
+    if point is not None:
+        if dim not in (0, len(point)):
+            raise ConfigError(f"conflicting input dimensions {sorted({dim, len(point)})}")
+        dim = len(point)
 
     target_image = None
     if args.target_image is not None:
         target_image = load_points_file(args.target_image)[0]
-    # Checked before any point is drawn or any query is spent.
     config = AttackConfig(
         max_queries=args.budget, sampler_kind=args.sampler, seed=args.seed,
         init_target_image=target_image,
         **{key: value for key, value in vars(args).items() if key in ATTACK_KEYS})
-    config.check_clip_box(spec.dim)
-    if target_image is not None and target_image.shape != (spec.dim,):
-        raise ValueError("init_target_image has the wrong dimension")
 
-    # One external child serves every query; in-process oracles are built
-    # around each candidate original.
-    external = build_oracle(spec) if spec.kind == "external" else None
-
-    def oracle_for(x):
-        return external if external is not None else build_oracle(spec, x, model_cache)
-
-    def acceptable(x):
-        return _setup_decision(oracle_for(x), x) == -1
-
-    try:
+    # Every check is made before a point is drawn or a query spent.
+    with _SetUp([spec], config, dim) as setup:
         if point is None:
-            point = generate_points(1, spec.dim, args.seed, config.clip_low,
-                                    config.clip_high, accept=acceptable)[0]
-        elif not acceptable(point):
+            point = setup.draw(1, args.seed)[0]
+        elif not setup.screen(spec, point)[1]:
             raise ConfigError("original point is already adversarial for this oracle")
-
-        best, trace = run_attack(oracle_for(point), point, config)
+        best, trace = run_attack(setup.oracle(spec, point), point, config)
         emit_trace_csv(trace, args.out)
         if trace.error is not None:
             _err(f"attack failed: {trace.error}")
@@ -194,9 +165,6 @@ def cmd_attack(args) -> int:
         print(f"status={trace.status} queries={trace.queries_total} "
               f"distortion={distortion:.6g} trace={args.out}")
         return 0
-    finally:
-        if external is not None:
-            external.close()
 
 
 def cmd_bench(args) -> int:
@@ -259,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="hard query cap (default: unlimited)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--point", help="original point as space-separated floats")
-    p.add_argument("--point-file", help="float-line file; first line is the original")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--point", help="original point as space-separated floats")
+    given.add_argument("--point-file", help="float-line file; first line is the original")
     p.add_argument("--dim", type=_dim, help="input dimension when not implied")
     p.add_argument("--target-image",
                    help="float-line file whose first line is the adversarial start")
@@ -303,16 +272,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, WeightsFormatError) as exc:
+    except (ConfigError, WeightsFormatError, ValueError) as exc:
         _err(str(exc))
         return 1
-    except ValueError as exc:
-        _err(str(exc))
-        return 1
-    except LhsAttackError as exc:
-        _err(str(exc))
-        return 2
-    except OSError as exc:
+    except (LhsAttackError, OSError) as exc:
         _err(str(exc))
         return 2
 

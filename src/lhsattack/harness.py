@@ -425,31 +425,32 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("a [points] section is required")
     try:
         attack = AttackConfig(**attack_kwargs)
+        config = ExperimentConfig(oracles=oracles, points=points, attack=attack,
+                                  **exp_kwargs)
         if points.dim:
-            attack.check_clip_box(points.dim)
+            _cross_validate(config.oracles, points.dim)
+            attack.check_dim(points.dim)
     except ValueError as exc:
         raise ConfigError(f"[attack] {exc}") from exc
-
-    config = ExperimentConfig(oracles=oracles, points=points, attack=attack,
-                              **exp_kwargs)
-    _cross_validate(config.oracles, points.dim)
     return config
 
 
-def _cross_validate(oracles, dim: int, model_cache: dict | None = None) -> None:
-    """Raise if a spec implies an input dimension other than ``dim`` (0: unknown);
-    with ``model_cache``, also if an mlp's weights, read into it, take another."""
+def _cross_validate(oracles, dim: int, model_cache: dict | None = None) -> int:
+    """The input width: ``dim``, or when that is 0 (unknown) the first width a
+    spec implies, 0 if none does. Raise if a spec implies another; with
+    ``model_cache``, an mlp's weights, read into it, imply their width too."""
     for spec in oracles:
-        for key, d in spec.implied_dims():
-            if dim and d != dim:
+        widths = list(spec.implied_dims())
+        if model_cache is not None and spec.kind == "mlp":
+            widths.append(("weights", _cached_mlp(spec.weights, model_cache).input_dim))
+        for key, d in widths:
+            dim = dim or d
+            if d != dim:
                 clash = (f"dim={d} conflicts with points" if key == "dim" else
-                         f"{key} has {d} coordinates but points have")
+                         f"weights {spec.weights!r} take {d} inputs but points have"
+                         if key == "weights" else f"{key} has {d} coordinates but points have")
                 raise ConfigError(f"oracle {spec.name!r}: {clash} dimension {dim}")
-        if dim and model_cache is not None and spec.kind == "mlp":
-            width = _cached_mlp(spec.weights, model_cache).input_dim
-            if width != dim:
-                raise ConfigError(f"oracle {spec.name!r}: weights {spec.weights!r} take "
-                                  f"{width} inputs but points have dimension {dim}")
+    return dim
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -556,13 +557,53 @@ def generate_points(count: int, dim: int, seed: int, lo: float = 0.0,
     return out
 
 
-def _setup_decision(oracle, point) -> int:
-    """One unmetered-by-the-experiment oracle call on a throwaway ledger.
+class _SetUp:
+    """The set-up that ``bench`` and ``attack`` share, for one input width.
 
-    Used only to validate originals before a run; attack ledgers stay
-    exact because this never touches them.
+    Made from the oracle specs, the attack config and the points' width
+    (0: unknown, then the specs' width), it checks that width against every
+    spec, mlp weights included, and against the config before any oracle is
+    built or point drawn. It then builds the oracles, in-process ones per
+    point and one child per external spec, which every point shares and
+    leaving the ``with`` block closes, and screens originals.
     """
-    return MeteredOracle(oracle).decide(point, PHASE_INIT)
+
+    def __init__(self, specs, attack: AttackConfig, dim: int):
+        self.specs, self.attack = specs, attack
+        self.model_cache, self.children = {}, {}
+        self.dim = _cross_validate(specs, dim, self.model_cache)
+        if not self.dim:
+            raise ConfigError(
+                "input dimension unknown; give --point, --dim, or m= in the oracle spec")
+        attack.check_dim(self.dim)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for child in self.children.values():
+            child.close()
+
+    def oracle(self, spec: OracleSpecConfig, point):
+        if spec.kind != "external":
+            return build_oracle(spec, point, self.model_cache)
+        if spec.name not in self.children:
+            self.children[spec.name] = build_oracle(spec, point)
+        return self.children[spec.name]
+
+    def screen(self, spec: OracleSpecConfig, point):
+        """``spec``'s oracle at ``point``, and whether it answers -1 there.
+
+        The query goes to a throwaway ledger, so attack ledgers stay exact.
+        """
+        oracle = self.oracle(spec, point)
+        return oracle, MeteredOracle(oracle).decide(point, PHASE_INIT) == -1
+
+    def draw(self, count: int, seed: int) -> np.ndarray:
+        """``count`` originals in the clip box that every oracle answers -1 on."""
+        return generate_points(
+            count, self.dim, seed, self.attack.clip_low, self.attack.clip_high,
+            accept=lambda x: all(self.screen(spec, x)[1] for spec in self.specs))
 
 
 # ---------------------------------------------------------------------------
@@ -628,50 +669,32 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     per run and never abort the batch; a failed attack still writes its
     trace CSV and joins ``traces``, but only runs that did not fail enter
     the statistics.
-    The points' width is checked against every spec, mlp weights included,
+    The set-up (``_SetUp``) checks the points' width and the attack config
     before any oracle is built, and the output directory is made only once
-    the points pass. Generated originals are screened through the
-    same oracles the runs use (one child per external spec), and an error
-    while screening raises.
+    they pass. Generated originals are screened through the same oracles
+    the runs use, and an error while screening raises.
     Each (oracle, point) pair is built once, checks the original and serves
     every repetition and sampler.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
 
     max_budget = max(config.budgets)
-    model_cache: dict = {}
-    externals: dict = {}
     runs: list[RunRecord] = []
     traces: dict = {}
 
-    def realize(spec, point):
-        if spec.kind != "external":
-            return build_oracle(spec, point, model_cache)
-        if spec.name not in externals:
-            externals[spec.name] = build_oracle(spec, point)
-        return externals[spec.name]
-
-    def acceptable(cand):
-        return all(_setup_decision(realize(spec, cand), cand) == -1
-                   for spec in config.oracles)
-
-    try:
-        points = config.points.values
-        if config.points.source == "file":
-            points = load_points_file(config.points.file,
-                                      config.points.dim or None)
-        _cross_validate(config.oracles, config.points.dim or points.shape[1], model_cache)
+    points = config.points.values
+    if config.points.source == "file":
+        points = load_points_file(config.points.file, config.points.dim or None)
+    with _SetUp(config.oracles, config.attack,
+                config.points.dim or points.shape[1]) as setup:
         if config.points.source == "generate":
-            points = generate_points(config.points.count, config.points.dim,
-                                     config.points.seed, config.attack.clip_low,
-                                     config.attack.clip_high, accept=acceptable)
+            points = setup.draw(config.points.count, config.points.seed)
         os.makedirs(out_dir, exist_ok=True)
 
         for oi, spec in enumerate(config.oracles):
             for pi, point in enumerate(points):
                 try:
-                    oracle = realize(spec, point)
-                    original_ok = _setup_decision(oracle, point) == -1
+                    oracle, original_ok = setup.screen(spec, point)
                 except LhsAttackError as exc:
                     for sampler in config.samplers:
                         runs.append(RunRecord(spec.name, sampler, pi, -1, 0, "",
@@ -696,9 +719,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
                         traces[(spec.name, sampler, pi, rep)] = trace
                         runs.append(RunRecord(spec.name, sampler, pi, rep, seed,
                                               trace_path, trace.status, trace.error))
-    finally:
-        for oracle in externals.values():
-            oracle.close()
 
     summary_rows = []
     for spec in config.oracles:

@@ -985,11 +985,11 @@ def test_attack_config_rejects_non_finite_or_overflowing_box(box):
 def test_clip_box_limit_depends_on_the_dimension():
     # The squared diagonal dim * width**2 may reach 2**1023 and no further.
     config = AttackConfig(clip_low=0.0, clip_high=2.0 ** 511)
-    config.check_clip_box(2)
+    config.check_dim(2)
     for dim in (3, 64):
         with pytest.raises(ValueError, match=r"too wide for dimension %d" % dim):
-            config.check_clip_box(dim)
-    AttackConfig(clip_high=1e150).check_clip_box(3072)
+            config.check_dim(dim)
+    AttackConfig(clip_high=1e150).check_dim(3072)
 
 
 def test_run_attack_rejects_a_box_too_wide_before_any_query():

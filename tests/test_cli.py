@@ -168,6 +168,24 @@ def test_attack_rejects_non_finite_point(tmp_path, capsys, value):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_attack_rejects_an_empty_point(tmp_path, capsys):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5", "--point", "",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "lhsattack: --point: no values\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_attack_point_and_point_file_are_exclusive(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5 0.5 0.5\n")
+    rc = main(["attack", "--oracle", "halfspace:w=1;0;0,b=-0.7", "--point", "0.5 0.5 0.5",
+               "--point-file", str(pts), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "not allowed with argument --point" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--point-file", "--target-image"])
 def test_attack_rejects_non_finite_point_files(tmp_path, capsys, flag):
     pts = tmp_path / "pts.txt"
@@ -190,14 +208,16 @@ BAD_BOX = r"clip_low, clip_high and clip_high - clip_low must be finite"
     (["--bisect-tol", "1e-320"], r"bisect_tol must lie in \(0, 1\) and be at least"),
     (["--clip-low=0", "--clip-high=1e160"],
      r"clip box width 1e\+160 is too wide for dimension 3: distances would overflow"),
+    # The last --dim wins; the default tolerance dim ** -1.5 is 1 at one coordinate.
+    (["--dim", "1"], r"set bisect_tol explicitly for 1-dimensional inputs"),
 ])
 def test_attack_rejects_bad_box_or_tolerance_before_any_query(
         tmp_path, capsys, monkeypatch, flags, match):
     def no_draws(*args, **kwargs):
         raise AssertionError("a point was drawn")
 
-    monkeypatch.setattr("lhsattack.cli.generate_points", no_draws)
-    rc = main(["attack", "--oracle", "hypersphere:r=0.5,m=3", *flags,
+    monkeypatch.setattr("lhsattack.harness.generate_points", no_draws)
+    rc = main(["attack", "--oracle", "hypersphere:r=0.5", "--dim", "3", *flags,
                "--budget", "50", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
@@ -210,7 +230,16 @@ def test_attack_conflicting_dims(tmp_path, capsys):
     rc = main(["attack", "--oracle", "hypersphere:r=0.5,m=20",
                "--point", "0.5 0.5", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
-    assert "conflicting input dimensions" in capsys.readouterr().err
+    assert ("oracle 'hypersphere': dim=20 conflicts with points dimension 2"
+            in capsys.readouterr().err)
+
+
+def test_attack_mlp_width_clash_reads_as_in_bench(tmp_path, capsys, mlp_fixture_path):
+    rc = main(["attack", "--oracle", f"mlp:weights={mlp_fixture_path}",
+               "--point", "0.5 0.5 0.5", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert (f"oracle 'mlp': weights {mlp_fixture_path!r} take 64 inputs but points "
+            f"have dimension 3" in capsys.readouterr().err)
 
 
 def test_attack_unknown_dim(tmp_path, capsys):
@@ -233,7 +262,8 @@ def test_attack_center_conflicts_with_dim_flag(tmp_path, capsys):
     rc = main(["attack", "--oracle", "hypersphere:r=0.2,center=0.5;0.5;0.5",
                "--dim", "4", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
-    assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
+    assert ("oracle 'hypersphere': center has 3 coordinates but points have dimension 4"
+            in capsys.readouterr().err)
 
 
 def test_attack_center_conflicts_with_spec_dim(tmp_path, capsys):
@@ -338,7 +368,7 @@ def test_attack_rejects_a_start_image_of_the_wrong_width_before_any_query(
     def no_draws(*args, **kwargs):
         raise AssertionError("a point was drawn")
 
-    monkeypatch.setattr("lhsattack.cli.generate_points", no_draws)
+    monkeypatch.setattr("lhsattack.harness.generate_points", no_draws)
     start = tmp_path / "start.txt"
     start.write_text("0.9 0.9\n")
     rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=3", "--target-image", str(start),
@@ -468,6 +498,34 @@ values = 0.5 0.5 0.5
     rc = main(["bench", str(cfg), "--output-dir", str(out_dir)])
     assert rc == 1
     assert "take 64 inputs but points have dimension 3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("points, attack, match", [
+    ("0.5 0.5 0.5\n", "clip_high = 1e160\n",
+     r"^lhsattack: clip box width 1e\+160 is too wide for dimension 3: "),
+    ("0.5\n0.2\n", "", r"^lhsattack: .*set bisect_tol explicitly for 1-dimensional inputs$"),
+])
+def test_bench_checks_file_points_width_before_making_the_output_dir(
+        tmp_path, capsys, points, attack, match):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(points)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"""\
+[oracle ball]
+kind = hypersphere
+radius = 0.25
+
+[points]
+source = file
+file = {pts}
+
+[attack]
+{attack}""")
+    out_dir = tmp_path / "artifacts"
+    rc = main(["bench", str(cfg), "--output-dir", str(out_dir)])
+    assert rc == 1
+    assert re.search(match, capsys.readouterr().err.strip())
     assert not out_dir.exists()
 
 

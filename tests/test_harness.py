@@ -415,6 +415,15 @@ def test_parse_rejects_bad_box_or_tolerance(tmp_path, attack_section, match):
                          r"\[attack\] " + match)
 
 
+def test_parse_rejects_one_dimensional_points_without_a_tolerance(tmp_path):
+    text = MINIMAL_TAIL.replace("source = inline\nvalues = 0.5 0.5",
+                                "source = generate\ncount = 2\ndim = 1")
+    _expect_config_error(tmp_path, text, r"\[attack\] .*set bisect_tol explicitly "
+                                         r"for 1-dimensional inputs")
+    config = parse_config(write_config(tmp_path, text + "\n[attack]\nbisect_tol = 0.01\n"))
+    assert config.points.dim == 1
+
+
 def test_parse_accepts_the_widest_box_the_points_dimension_allows(tmp_path):
     # Two coordinates of width w give a squared diagonal of 2 * w**2 = 2**1023.
     text = MINIMAL_TAIL + f"\n[attack]\nclip_low = 0\nclip_high = {2.0 ** 511!r}\n"

@@ -114,7 +114,11 @@ def config_text(draw):
             lines.append("    " + floats_text(row))
     lines += ["", "[attack]"]
     for key, values in ATTACK_VALUES.items():
-        lines += draw(optional_line(key, values))
+        if key == "bisect_tol" and dim == 1:
+            # The default tolerance, dim ** -1.5, is 1 at one coordinate.
+            lines.append(f"{key} = {draw(values)}")
+        else:
+            lines += draw(optional_line(key, values))
     return "\n".join(lines) + "\n"
 
 
