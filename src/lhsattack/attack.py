@@ -31,7 +31,7 @@ from .oracles import (
     QueryLedger,
 )
 from .rng import NS_GRADIENT, NS_INIT, substream_seed
-from .samplers import LHS, SRS, _by_rows, lhs_normal, srs_normal
+from .samplers import LHS, SRS, _buffer_scope, _by_rows, _scoped, lhs_normal, srs_normal
 # Not called here (_unit_probes normalizes), but perfbench's tracer wraps
 # attack.normalize_rows by name.
 from .samplers import normalize_rows
@@ -381,6 +381,10 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     :func:`_unit_probes`, one row block per sampler thread for a large
     batch, with the bits of :func:`~lhsattack.samplers.normalize_rows`
     followed by the probe arithmetic.
+
+    Inside :func:`run_attack` (or a ``run_experiment`` grid) the rows and
+    the probes are views of the run's buffers, which the run's next batch
+    overwrites; called outside a run, every batch gets new arrays.
     """
     x = np.asarray(getattr(x, "point", x), dtype=np.float64)
     if x.shape != (oracle.dim,):
@@ -419,14 +423,17 @@ def _unit_probes(rows, x, probe_step: float, clip_low: float, clip_high: float):
     ``add.reduce`` over the row's squares, as in ``np.linalg.norm``. Every
     step runs on one row block at a time (all the rows at once for a batch
     below the split), with the block's probes as scratch space for the
-    squares.
+    squares. The probes go to the scratch buffer of the thread's buffer
+    scope when the batch fits it, else to a new array.
 
     Raises
     ------
     DegenerateSampleError
         If any row is the zero vector.
     """
-    probes = np.empty_like(rows)
+    probes = _scoped("scratch", *rows.shape)
+    if probes is None:
+        probes = np.empty_like(rows)
 
     def work(a, b):
         block, out = rows[a:b], probes[a:b]
@@ -475,6 +482,13 @@ def step_forward(x, estimate: GradientEstimate, step_size: float,
         f"candidate stayed non-adversarial through {config.max_step_retries} halvings")
 
 
+def _run_buffers(config: AttackConfig, dim: int):
+    """A buffer scope (:func:`~lhsattack.samplers._buffer_scope`) that holds
+    every probe batch of a run of ``config`` at ``dim``: the last
+    iteration's is the largest."""
+    return _buffer_scope(schedule_samples(config.iterations - 1, config.initial_samples), dim)
+
+
 def run_attack(oracle, original, config: AttackConfig):
     """Run the full boundary walk against one oracle.
 
@@ -498,6 +512,10 @@ def run_attack(oracle, original, config: AttackConfig):
 
     The original must answer -1; this is the caller's obligation and is
     not re-queried (so budget accounting stays exact).
+
+    Every probe batch is drawn into one set of buffers sized for the run's
+    largest, or into an enclosing scope's that fits (``run_experiment``
+    enters one for its grid).
 
     Returns
     -------
@@ -538,46 +556,47 @@ def run_attack(oracle, original, config: AttackConfig):
         if d < best_dist:
             best_dist, best_point = d, current.point
 
-        consecutive_failures = 0
-        for t in range(1, config.iterations + 1):
-            prev = current.point
-            if dist_to(prev) == 0.0:
-                break
-            n_t = schedule_samples(t - 1, config.initial_samples)
-            probe_step = schedule_probe_step(prev, original, dim)
-            step_size = schedule_step_size(t, prev, original)
-            est = estimate_gradient(
-                metered, prev, n_t, probe_step, config.sampler_kind,
-                substream_seed(config.seed, NS_GRADIENT, t),
-                config.clip_low, config.clip_high)
-            try:
-                cand, retries = step_forward(prev, est, step_size, metered, config)
-            except StepFailedError:
-                consecutive_failures += 1
+        with _run_buffers(config, dim):
+            consecutive_failures = 0
+            for t in range(1, config.iterations + 1):
+                prev = current.point
+                if dist_to(prev) == 0.0:
+                    break
+                n_t = schedule_samples(t - 1, config.initial_samples)
+                probe_step = schedule_probe_step(prev, original, dim)
+                step_size = schedule_step_size(t, prev, original)
+                est = estimate_gradient(
+                    metered, prev, n_t, probe_step, config.sampler_kind,
+                    substream_seed(config.seed, NS_GRADIENT, t),
+                    config.clip_low, config.clip_high)
+                try:
+                    cand, retries = step_forward(prev, est, step_size, metered, config)
+                except StepFailedError:
+                    consecutive_failures += 1
+                    rows.append(TraceRow(
+                        t=t, n_samples=n_t, probe_step=probe_step,
+                        step_size=step_size, queries=ledger.total_queries,
+                        distortion=dist_to(prev), agree_count=est.agree_count,
+                        step_retries=config.max_step_retries, bisect_steps=0))
+                    if consecutive_failures >= 2:
+                        break
+                    continue
+                consecutive_failures = 0
+                cd = dist_to(cand)
+                if cd < best_dist:
+                    best_dist, best_point = cd, cand
+                current = bin_search(cand, original, metered, tol,
+                                     config.clip_low, config.clip_high)
+                d = dist_to(current.point)
                 rows.append(TraceRow(
                     t=t, n_samples=n_t, probe_step=probe_step,
                     step_size=step_size, queries=ledger.total_queries,
-                    distortion=dist_to(prev), agree_count=est.agree_count,
-                    step_retries=config.max_step_retries, bisect_steps=0))
-                if consecutive_failures >= 2:
-                    break
-                continue
-            consecutive_failures = 0
-            cd = dist_to(cand)
-            if cd < best_dist:
-                best_dist, best_point = cd, cand
-            current = bin_search(cand, original, metered, tol,
-                                 config.clip_low, config.clip_high)
-            d = dist_to(current.point)
-            rows.append(TraceRow(
-                t=t, n_samples=n_t, probe_step=probe_step,
-                step_size=step_size, queries=ledger.total_queries,
-                distortion=d, agree_count=est.agree_count,
-                step_retries=retries, bisect_steps=current.steps))
-            if d < best_dist:
-                best_dist, best_point = d, current.point
-            if d < best_proj_dist:
-                best_proj_dist, best_proj = d, current
+                    distortion=d, agree_count=est.agree_count,
+                    step_retries=retries, bisect_steps=current.steps))
+                if d < best_dist:
+                    best_dist, best_point = d, current.point
+                if d < best_proj_dist:
+                    best_proj_dist, best_proj = d, current
         best_point = best_proj.point
     except InitFailedError as exc:
         status, error = INIT_FAILED, str(exc)

@@ -43,6 +43,7 @@ from .harness import (
     load_points_file,
     parse_config,
     run_experiment,
+    _cross_validate,
     _SetUp,
 )
 from .oracles import format_floats, serve_oracle
@@ -209,7 +210,10 @@ def cmd_oracle_serve(args) -> int:
     spec = parse_oracle_spec(args.spec)
     if spec.kind == "external":
         raise ConfigError(f"cannot serve oracle kind {spec.kind!r}")
-    served = serve_oracle(build_oracle(spec))
+    # The width checks of attack and bench; the weights are read once.
+    models: dict = {}
+    _cross_validate([spec], 0, models)
+    served = serve_oracle(build_oracle(spec, model_cache=models))
     print(f"served {served} decisions", file=sys.stderr)
     return 0
 

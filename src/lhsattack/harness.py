@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackConfig, AttackTrace, run_attack
+from .attack import AttackConfig, AttackTrace, _run_buffers, run_attack
 from .errors import ConfigError, LhsAttackError
 from .oracles import (
     MAX_TIMEOUT_S,
@@ -674,7 +674,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     they pass. Generated originals are screened through the same oracles
     the runs use, and an error while screening raises.
     Each (oracle, point) pair is built once, checks the original and serves
-    every repetition and sampler.
+    every repetition and sampler. Every run of the grid draws its probe
+    batches into one set of buffers, freed when the grid ends.
     """
     out_dir = output_dir if output_dir is not None else config.output_dir
 
@@ -685,8 +686,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ExperimentResul
     points = config.points.values
     if config.points.source == "file":
         points = load_points_file(config.points.file, config.points.dim or None)
-    with _SetUp(config.oracles, config.attack,
-                config.points.dim or points.shape[1]) as setup:
+    with (_SetUp(config.oracles, config.attack,
+                 config.points.dim or points.shape[1]) as setup,
+          _run_buffers(config.attack, setup.dim)):
         if config.points.source == "generate":
             points = setup.draw(config.points.count, config.points.seed)
         os.makedirs(out_dir, exist_ok=True)

@@ -119,7 +119,9 @@ class DecisionOracle:
     length ``dim`` and may override ``_decide_batch(X)``, which must equal
     ``_decide`` row by row. Neither is called directly — all access goes
     through a :class:`MeteredOracle`, so that every query lands in a
-    ledger.
+    ledger. Inside an attack run, a gradient batch ``X`` is a view of the
+    run's buffers, which the next batch overwrites: a ``_decide_batch``
+    that keeps a batch after it returns must keep a copy.
     """
 
     kind = "abstract"

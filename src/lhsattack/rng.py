@@ -24,13 +24,15 @@ def substream_seed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1).
+def open_unit(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+    """Uniform draws strictly inside (0, 1), into ``out`` if given.
 
     ``Generator.random`` covers [0, 1); exact zeros (probability 2^-53 per
     cell) are re-drawn so downstream quantile transforms stay finite.
+    ``out`` is a C-contiguous float64 array of ``shape``; it receives the
+    same bits a new array would.
     """
-    return redraw_zeros(rng, rng.random(shape))
+    return redraw_zeros(rng, rng.random(shape, out=out))
 
 
 def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:

@@ -23,6 +23,14 @@ caller allocated, so the batch is bit-identical to a one-thread draw.
 Smaller batches, such as every probe batch at d = 64, run on the calling
 thread alone, in one call per step.
 
+Every batch of an attack run reuses one set of arrays: ``run_attack`` and
+``run_experiment`` enter a per-thread scope (:func:`_buffer_scope`) holding
+buffers for the run's largest batch, and a batch drawn inside it is a view
+of them, overwritten by the next batch. So the batches of a run at
+d = 3072 map no fresh pages for their multi-megabyte arrays, and their bits
+are those of new arrays. :func:`lhs_normal` and :func:`srs_normal` called
+outside a run, or for a batch the scope does not hold, return new arrays.
+
 ``scipy.special`` is imported by the first call that needs ``ndtri`` or
 ``ndtr``, on the calling thread, so importing the package (and serving an
 oracle over the line protocol, which never samples) does not load scipy.
@@ -32,6 +40,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +266,9 @@ def _generator_at(state: dict, offset: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(offset))
 
 
-def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
-    """:func:`lhsattack.rng.open_unit` of a PCG64 generator, bit for bit.
+def open_unit(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+    """:func:`lhsattack.rng.open_unit` of a PCG64 generator, bit for bit,
+    into ``out`` (a C-contiguous float64 array of ``shape``) if given.
 
     For a ``(n_samples, dim)`` batch that :func:`_splits`, each row block
     is drawn from a copy of ``rng``'s stream advanced by the block's
@@ -267,8 +277,8 @@ def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     """
     n_samples, dim = shape
     if not _splits(n_samples, dim):
-        return _open_unit_whole(rng, shape)
-    u = np.empty(shape)
+        return _open_unit_whole(rng, shape, out)
+    u = np.empty(shape) if out is None else out
     bits = rng.bit_generator
     state = bits.state
     zeros = []
@@ -284,6 +294,57 @@ def open_unit(rng: np.random.Generator, shape) -> np.ndarray:
     return redraw_zeros(rng, u) if zeros else u
 
 
+class _Buffers:
+    """Flat arrays of ``rows * dim`` elements for every batch of a scope:
+    ``values`` (float64) for the rows, ``strata`` (int64) for the LHS
+    ranks and ``scratch`` (float64) for the LHS base, then the probes."""
+
+    def __init__(self, rows: int, dim: int):
+        self.rows, self.dim = rows, dim
+        self.values = np.empty(rows * dim)
+        self.strata = np.empty(rows * dim, dtype=np.int64)
+        self.scratch = np.empty(rows * dim)
+
+    def fits(self, n_samples: int, dim: int) -> bool:
+        return n_samples <= self.rows and dim == self.dim
+
+
+_local = threading.local()
+
+
+@contextmanager
+def _buffer_scope(rows: int, dim: int):
+    """Let every batch of at most ``rows`` x ``dim`` drawn on this thread in
+    the block use views of one set of buffers.
+
+    An enclosing scope that holds such a batch is reused; otherwise new
+    buffers serve the block, and the enclosing scope, if any, returns when
+    it ends. Other threads are not affected.
+    """
+    outer = getattr(_local, "buffers", None)
+    if outer is not None and outer.fits(rows, dim):
+        yield
+        return
+    _local.buffers = _Buffers(rows, dim)
+    try:
+        yield
+    finally:
+        _local.buffers = outer
+
+
+def _scoped(name: str, n_samples: int, dim: int):
+    """Buffer ``name`` of the thread's scope shaped as an ``(n_samples, dim)``
+    batch (``strata`` column-contiguous), or None when no scope is entered
+    or the batch does not fit it."""
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None or not buffers.fits(n_samples, dim):
+        return None
+    flat = getattr(buffers, name)[:n_samples * dim]
+    if name == "strata":
+        return flat.reshape(dim, n_samples).T
+    return flat.reshape(n_samples, dim)
+
+
 def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     """Draw a Latin hypercube sample of standard normal vectors.
 
@@ -291,6 +352,8 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     strata; a uniform random permutation (the ranks of the base uniforms)
     assigns every sample to a distinct stratum per dimension, and the value
     is placed uniformly at random inside its stratum's probability mass.
+    Inside a run's buffer scope, ``rows`` and ``stratum_index`` are views
+    of the scope's buffers, which the run's next batch overwrites.
 
     Parameters
     ----------
@@ -304,10 +367,14 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
         raise ValueError("n_samples and dim must be positive")
     _load_special()
     rng = np.random.default_rng(seed)
-    base = open_unit(rng, (n_samples, dim))
-    q = open_unit(rng, (n_samples, dim))
-    # Column-major, so each column's ranks are written contiguously.
-    strata = np.empty((dim, n_samples), dtype=np.int64).T
+    # The base is needed only for the ranks, so it goes to the scratch
+    # buffer, which then takes the batch's probes.
+    base = open_unit(rng, (n_samples, dim), _scoped("scratch", n_samples, dim))
+    q = open_unit(rng, (n_samples, dim), _scoped("values", n_samples, dim))
+    strata = _scoped("strata", n_samples, dim)
+    if strata is None:
+        # Column-major, so each column's ranks are written contiguously.
+        strata = np.empty((dim, n_samples), dtype=np.int64).T
 
     def work(a, b):
         _column_ranks(base[:, a:b], out=strata[:, a:b])
@@ -344,11 +411,13 @@ def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
 
     Uses the same quantile transform as :func:`lhs_normal` on the same base
     uniforms, so batches with equal seeds form a common-random-number pair.
+    Inside a run's buffer scope, ``rows`` is a view of the scope's buffer.
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
     _load_special()
-    rows = open_unit(np.random.default_rng(seed), (n_samples, dim))
+    rows = open_unit(np.random.default_rng(seed), (n_samples, dim),
+                     _scoped("values", n_samples, dim))
 
     _by_rows(lambda a, b: _quantile_in_place(rows[a:b]), n_samples, dim)
     return SampleBatch(rows=rows, sampler_kind=SRS, seed=int(seed))

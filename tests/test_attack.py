@@ -580,6 +580,25 @@ def test_large_estimate_worker_error_reaches_caller(monkeypatch):
     assert halfspace.batches == []
 
 
+@pytest.mark.parametrize("shape", [(16, 5), (229, 64)] + SPLIT_SHAPES)
+@pytest.mark.parametrize("kind", [LHS, SRS])
+def test_estimate_in_a_buffer_scope_equals_one_without(monkeypatch, shape, kind):
+    n, dim = shape
+    x, halfspace = large_batch_setup(dim, seed=3)
+    want = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, kind, seed=4)
+    decide_batch, in_scratch = halfspace._decide_batch, []
+    with samplers._buffer_scope(n, dim):
+        scratch = samplers._local.buffers.scratch
+        monkeypatch.setattr(halfspace, "_decide_batch", lambda X: (
+            in_scratch.append(np.shares_memory(X, scratch)), decide_batch(X))[1])
+        got = estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, kind, seed=4)
+    assert in_scratch == [True]
+    assert halfspace.batches[1].tobytes() == halfspace.batches[0].tobytes()
+    assert got.raw_mean.tobytes() == want.raw_mean.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
+    assert got.agree_count == want.agree_count
+
+
 # ---------------------------------------------------------------------------
 # step_forward
 
@@ -1020,3 +1039,50 @@ def test_distance_helper_agrees_with_reference():
     y = rng.uniform(size=30)
     d = schedule_probe_step(x, y, 30) * 30  # recovers the raw distance
     assert abs(d - ref_distance(x, y)) <= 1e-12 * max(1.0, d)
+
+
+# ---------------------------------------------------------------------------
+# run_attack's buffer scope
+
+
+def test_run_attack_enters_one_scope_and_leaves_none(monkeypatch):
+    oracle, center = sphere_setup(seed=4)
+    cfg = AttackConfig(iterations=3, initial_samples=10, seed=1)
+    real, seen = attack.estimate_gradient, []
+
+    def spy(*args, **kwargs):
+        seen.append(samplers._local.buffers)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "estimate_gradient", spy)
+    _, trace = run_attack(oracle, center, cfg)
+    assert trace.status == COMPLETED and len(seen) == 3
+    assert all(buffers is seen[0] for buffers in seen)
+    assert (seen[0].rows, seen[0].dim) == (schedule_samples(2, 10), 20)
+    assert getattr(samplers._local, "buffers", None) is None
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("estimate failed")
+
+    monkeypatch.setattr(attack, "estimate_gradient", fails)
+    with pytest.raises(RuntimeError, match="estimate failed"):
+        run_attack(oracle, center, cfg)
+    assert getattr(samplers._local, "buffers", None) is None
+
+
+@pytest.mark.parametrize("kind", [LHS, SRS])
+def test_every_batch_of_a_run_at_d3072_shares_one_buffer(monkeypatch, kind):
+    oracle, center = sphere_setup(dim=3072, seed=7)
+    sampler, rows = SAMPLER_FUNCTIONS[kind], []
+
+    def recorded(n_samples, dim, seed):
+        batch = sampler(n_samples, dim, seed)
+        rows.append(batch.rows)
+        return batch
+
+    monkeypatch.setitem(attack._SAMPLERS, kind, recorded)
+    cfg = AttackConfig(iterations=4, initial_samples=30, sampler_kind=kind, seed=1)
+    _, trace = run_attack(oracle, center, cfg)
+    assert trace.status == COMPLETED and len(rows) == 4
+    assert [len(r) for r in rows] == [schedule_samples(t, 30) for t in range(4)]
+    assert all(np.shares_memory(r, rows[0]) for r in rows[1:])

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: spec grammar, subcommands, exit codes."""
 
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -22,6 +23,8 @@ from lhsattack.oracles import (
 from lhsattack.samplers import lhs_normal, normalize_rows
 
 from reference import parse_trace_csv
+
+MLP_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mlp_8x8_2class.txt")
 
 DIES_AFTER_HANDSHAKE = """\
 import sys
@@ -711,6 +714,32 @@ def test_oracle_serve_rejects_conflicting_dims(capsys):
     rc = main(["oracle-serve", "hypersphere:r=0.5,m=4,center=0.5;0.5;0.5"])
     assert rc == 1
     assert "conflicting input dimensions [3, 4]" in capsys.readouterr().err
+
+
+def test_oracle_serve_rejects_mlp_width_clash_before_reading_stdin():
+    # The fixture's weights take 64 inputs; m=3 clashes with them.
+    proc = run_cli(["oracle-serve", f"mlp:weights={MLP_FIXTURE},m=3,class=0"],
+                   input_text="HELLO m=64\n")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"lhsattack: oracle 'mlp': weights {MLP_FIXTURE!r} take 64 "
+                           f"inputs but points have dimension 3\n")
+
+
+def test_oracle_serve_reads_mlp_weights_once(monkeypatch, capsys):
+    from lhsattack import harness
+
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_mlp(path)
+
+    monkeypatch.setattr(harness, "load_mlp", counted)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"HELLO m=64\n")))
+    assert main(["oracle-serve", f"mlp:weights={MLP_FIXTURE},m=64,class=0"]) == 0
+    assert reads == [MLP_FIXTURE]
+    assert capsys.readouterr().out == "OK\n"
 
 
 @pytest.mark.parametrize("flags, error", [

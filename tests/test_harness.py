@@ -12,7 +12,7 @@ import pytest
 
 import lhsattack
 from lhsattack import harness
-from lhsattack.attack import COMPLETED, AttackConfig, AttackTrace, TraceRow
+from lhsattack.attack import COMPLETED, AttackConfig, AttackTrace, TraceRow, schedule_samples
 from lhsattack.errors import ConfigError
 from lhsattack.harness import (
     ATTACK_KEYS,
@@ -1072,6 +1072,33 @@ iterations = 4
     result = run_experiment(config, output_dir=str(tmp_path / "out"))
     assert len(result.runs) == 2
     assert all(r.status == COMPLETED for r in result.runs)
+
+
+def test_run_experiment_shares_one_buffer_scope_and_leaves_none(tmp_path, monkeypatch):
+    from lhsattack import attack, samplers
+
+    config = parse_config(write_config(tmp_path, GRID_CONFIG))
+    real, seen = attack.estimate_gradient, []
+
+    def spy(*args, **kwargs):
+        seen.append(samplers._local.buffers)
+        return real(*args, **kwargs)
+
+    # Every estimate of the grid's 8 runs of 8 iterations draws into one scope.
+    monkeypatch.setattr(attack, "estimate_gradient", spy)
+    result = run_experiment(config, output_dir=str(tmp_path / "out"))
+    assert all(r.status == COMPLETED for r in result.runs)
+    assert len(seen) == 64 and all(buffers is seen[0] for buffers in seen)
+    assert (seen[0].rows, seen[0].dim) == (schedule_samples(7, 10), 5)
+    assert getattr(samplers._local, "buffers", None) is None
+
+    def fails(oracle, point, cfg):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(harness, "run_attack", fails)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(config, output_dir=str(tmp_path / "out2"))
+    assert getattr(samplers._local, "buffers", None) is None
 
 
 def test_run_experiment_rejects_non_finite_file_points(tmp_path):

@@ -188,7 +188,7 @@ def test_lhs_top_stratum_jitter_next_to_one_stays_finite(monkeypatch, n):
     # (n - 1 + jitter) / n rounds to exactly 1.0 once the jitter is within
     # 2^-47 of 1, where the quantile is infinite.
     monkeypatch.setattr(samplers, "open_unit",
-                        lambda rng, shape: np.full(shape, 1.0 - 2.0 ** -53))
+                        lambda rng, shape, out=None: np.full(shape, 1.0 - 2.0 ** -53))
     assert (n - 1 + (1.0 - 2.0 ** -53)) / n == 1.0
     batch = lhs_normal(n, 3, seed=0)
     assert np.isfinite(batch.rows).all()
@@ -238,8 +238,8 @@ class ZeroingGenerator:
         self._rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def random(self, shape):
-        u = self._rng.random(shape)
+    def random(self, shape, out=None):
+        u = self._rng.random(shape, out=out)
         self.calls += 1
         if self.calls == 1:
             u.flat[::3] = 0.0
@@ -397,7 +397,7 @@ def test_split_lhs_breaks_ties_like_double_argsort(monkeypatch):
     base = rng.integers(0, 3, size=(n, d)) / 4.0 + 0.125   # many ties
     jitter = ref_open_unit(rng, (n, d))
     draws = iter([base.copy(), jitter.copy()])
-    monkeypatch.setattr(samplers, "open_unit", lambda rng, shape: next(draws))
+    monkeypatch.setattr(samplers, "open_unit", lambda rng, shape, out=None: next(draws))
     batch = lhs_normal(n, d, seed=0)
     want = np.argsort(np.argsort(base, axis=0), axis=0)
     assert np.array_equal(batch.stratum_index, want)
@@ -418,8 +418,8 @@ def test_small_batches_start_no_thread(monkeypatch):
 def test_split_chunk_error_reaches_caller(monkeypatch, sampler, column):
     # A zero uniform in one column fails the quantile's domain check in
     # the chunk holding that column.
-    def zeroed(rng, shape):
-        u = open_unit(rng, shape)
+    def zeroed(rng, shape, out=None):
+        u = open_unit(rng, shape, out)
         u[:, column] = 0.0
         return u
 
@@ -588,3 +588,101 @@ def test_discrepancy_paired_dominance():
         srs = srs_normal(100, 20, seed=seed)
         wins += batch_discrepancy(lhs) < batch_discrepancy(srs)
     assert wins >= 95
+
+
+# ---------------------------------------------------------------------------
+# Buffer scopes: the batches of a run reuse one set of arrays
+
+
+def scope_buffers():
+    """The buffers of this thread's innermost scope, or None."""
+    return getattr(samplers._local, "buffers", None)
+
+
+def shares_any(arr, buffers):
+    return any(np.shares_memory(arr, buf)
+               for buf in (buffers.values, buffers.strata, buffers.scratch))
+
+
+@pytest.mark.parametrize("shape", [(16, 5), (229, 64)] + SPLIT_SHAPES)
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+def test_batches_in_a_scope_equal_new_ones_bit_for_bit(shape, sampler):
+    n, d = shape
+    for rows in (n, n + 3):   # a scope that fits exactly, and a larger one
+        for seed in (0, 4242):
+            want = sampler(n, d, seed)
+            with samplers._buffer_scope(rows, d):
+                buffers = scope_buffers()
+                got = sampler(n, d, seed)
+                assert np.shares_memory(got.rows, buffers.values)
+                assert got.rows.tobytes() == want.rows.tobytes()
+                if want.stratum_index is None:
+                    assert got.stratum_index is None
+                else:
+                    assert np.shares_memory(got.stratum_index, buffers.strata)
+                    assert got.stratum_index.strides == want.stratum_index.strides
+                    assert np.array_equal(got.stratum_index, want.stratum_index)
+
+
+def test_the_next_batch_in_a_scope_overwrites_the_last():
+    with samplers._buffer_scope(100, 8):
+        first = lhs_normal(100, 8, seed=1)
+        kept = first.rows.copy()
+        lhs_normal(100, 8, seed=2)
+        assert not np.array_equal(first.rows, kept)
+
+
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+def test_a_batch_the_scope_cannot_hold_gets_new_arrays(sampler):
+    with samplers._buffer_scope(100, 8):
+        buffers = scope_buffers()
+        for n, d in [(101, 8), (50, 9), (50, 7)]:
+            batch = sampler(n, d, seed=3)
+            assert batch.rows.tobytes() == sampler(n, d, seed=3).rows.tobytes()
+            assert not shares_any(batch.rows, buffers)
+            if batch.stratum_index is not None:
+                assert not shares_any(batch.stratum_index, buffers)
+
+
+def test_nested_scopes_reuse_an_outer_one_that_fits():
+    assert scope_buffers() is None
+    with samplers._buffer_scope(100, 8):
+        outer = scope_buffers()
+        with samplers._buffer_scope(90, 8):
+            assert scope_buffers() is outer
+        for rows, dim in [(101, 8), (50, 9)]:
+            with samplers._buffer_scope(rows, dim):
+                inner = scope_buffers()
+                assert inner is not outer and (inner.rows, inner.dim) == (rows, dim)
+                assert not shares_any(lhs_normal(rows, dim, seed=0).rows, outer)
+            assert scope_buffers() is outer
+    assert scope_buffers() is None
+
+
+def test_a_scope_is_left_when_its_block_raises():
+    with pytest.raises(RuntimeError):
+        with samplers._buffer_scope(10, 3):
+            raise RuntimeError("inside")
+    assert scope_buffers() is None
+
+
+def test_a_draw_on_another_thread_ignores_this_threads_scope():
+    shape = SPLIT_SHAPES[2]
+    want = lhs_normal(*shape, seed=7)
+    got = {}
+
+    def draw():
+        got["scope"] = scope_buffers()
+        got["batch"] = lhs_normal(*shape, seed=7)
+
+    with samplers._buffer_scope(*shape):
+        buffers = scope_buffers()
+        mine = lhs_normal(*shape, seed=8)
+        kept = mine.rows.copy()
+        worker = threading.Thread(target=draw)
+        worker.start()
+        worker.join()
+        assert got["scope"] is None
+        assert not shares_any(got["batch"].rows, buffers)
+        assert got["batch"].rows.tobytes() == want.rows.tobytes()
+        assert mine.rows.tobytes() == kept.tobytes()
