@@ -3,7 +3,7 @@
 Places a point exactly on a known plane, estimates the boundary normal
 from batches of signed probes, and reports the cosine similarity to the
 analytic normal — as the probe count grows, and stratified vs plain noise
-under paired seeds.
+under paired seeds, with the mean paired difference and its standard error.
 
 Run:  python3 demos/gradient_fidelity.py [--dim 100] [--seeds 50]
 """
@@ -18,6 +18,9 @@ from lhsattack import (
     estimate_gradient,
     true_gradient,
 )
+
+
+PROBE_COUNTS = (10, 25, 50, 100, 200, 400)
 
 
 def make_boundary_problem(dim: int):
@@ -46,18 +49,33 @@ def main() -> None:
 
     print(f"-- cosine to the true normal vs probe count "
           f"(dim={args.dim}, averaged over {args.seeds} seeds)")
-    print("   probes   lhs      srs")
-    for n_samples in (10, 25, 50, 100, 200, 400):
-        scores = {}
-        for sampler in ("lhs", "srs"):
-            vals = [cosine(oracle, point, truth, n_samples, sampler, seed)
-                    for seed in range(args.seeds)]
-            scores[sampler] = float(np.mean(vals))
-        print(f"   {n_samples:6d}   {scores['lhs']:.4f}   {scores['srs']:.4f}")
+    print("   probes   lhs      srs      lhs-srs   se")
+    ahead = {"lhs": [], "srs": []}
+    unresolved = 0
+    for n_samples in PROBE_COUNTS:
+        scores = {sampler: np.array([cosine(oracle, point, truth, n_samples, sampler, seed)
+                                     for seed in range(args.seeds)])
+                  for sampler in ("lhs", "srs")}
+        # Paired by seed: the two batches share their base uniforms.
+        diff = scores["lhs"] - scores["srs"]
+        mean = float(diff.mean())
+        se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else float("nan")
+        print(f"   {n_samples:6d}   {scores['lhs'].mean():.4f}   "
+              f"{scores['srs'].mean():.4f}   {mean:+.4f}   {se:.4f}")
+        if abs(mean) >= 2.0 * se:
+            ahead["lhs" if mean > 0.0 else "srs"].append(n_samples)
+        else:
+            unresolved += 1
 
     print("\n   every query returned one bit, yet the estimate aligns with")
-    print("   the hidden plane; more probes buy a steadier direction, and")
-    print("   stratified noise squeezes a little more out of each batch.")
+    print("   the hidden plane, and more probes buy a steadier direction.")
+    print(f"   lhs - srs is the mean paired difference over {args.seeds} seeds and se its")
+    print("   standard error; no difference is resolved where |mean| < 2 se:")
+    for sampler, counts in ahead.items():
+        if counts:
+            print(f"   {sampler} ahead at {len(counts)} probe count(s): "
+                  + ", ".join(str(n) for n in counts))
+    print(f"   no difference resolved at {unresolved} of {len(PROBE_COUNTS)} probe counts.")
 
 
 if __name__ == "__main__":

@@ -66,6 +66,11 @@ STATUSES = (COMPLETED, BUDGET_EXHAUSTED, INIT_FAILED, ORACLE_FAILED)
 
 _SAMPLERS = {LHS: lhs_normal, SRS: srs_normal}
 
+# Uniform draws in the clip box before initialization gives up.
+_MAX_INIT_TRIES = 1000
+# Halvings of the outward step after a rejected candidate.
+_MAX_STEP_RETRIES = 30
+
 
 @dataclass
 class AttackConfig:
@@ -92,12 +97,11 @@ class AttackConfig:
         Starting adversarial point: a 1-D array of finite values the
         oracle already answers +1 on, e.g. an image of the target class.
         When given, the run starts from it instead of uniform draws.
-    max_init_tries : int
-        Uniform draws attempted before giving up on initialization.
-    max_step_retries : int
-        Times the outward step is halved after a rejected candidate.
     clip_low, clip_high : float
         Coordinate box; every queried point is clipped into it first.
+
+    The search caps are fixed: :data:`_MAX_INIT_TRIES` (1000) uniform start
+    draws and :data:`_MAX_STEP_RETRIES` (30) halvings of a rejected step.
     """
 
     initial_samples: int = 100
@@ -107,8 +111,6 @@ class AttackConfig:
     sampler_kind: str = LHS
     seed: int = 0
     init_target_image: np.ndarray | None = None
-    max_init_tries: int = 1000
-    max_step_retries: int = 30
     clip_low: float = 0.0
     clip_high: float = 1.0
 
@@ -129,10 +131,6 @@ class AttackConfig:
             image = np.asarray(self.init_target_image, dtype=np.float64)
             if image.ndim != 1 or not np.isfinite(image).all():
                 raise ValueError("init_target_image must be a 1-D array of finite values")
-        if self.max_init_tries < 1:
-            raise ValueError("max_init_tries must be >= 1")
-        if self.max_step_retries < 0:
-            raise ValueError("max_step_retries must be >= 0")
         # Not finite when either bound is not, or when the width overflows.
         if not math.isfinite(float(self.clip_high) - float(self.clip_low)):
             raise ValueError("clip_low, clip_high and clip_high - clip_low must be finite")
@@ -299,7 +297,7 @@ def initialize_adversarial(oracle: MeteredOracle, original, config: AttackConfig
 
     With ``config.init_target_image``: verify it with a single query and
     return it. Otherwise draw uniform points in the clip box until one is
-    adversarial, up to ``config.max_init_tries`` (one query each).
+    adversarial, up to :data:`_MAX_INIT_TRIES` (1000; one query each).
 
     The caller is responsible for the original being non-adversarial
     (decide(original) = -1); no query is spent re-checking it here.
@@ -319,12 +317,12 @@ def initialize_adversarial(oracle: MeteredOracle, original, config: AttackConfig
             return cand
         raise InitFailedError("init_target_image is not adversarial for this oracle")
     span = config.clip_high - config.clip_low
-    for _ in range(config.max_init_tries):
+    for _ in range(_MAX_INIT_TRIES):
         cand = config.clip_low + span * rng.random(oracle.dim)
         if oracle.decide(cand, PHASE_INIT) == 1:
             return cand
     raise InitFailedError(
-        f"no adversarial point among {config.max_init_tries} uniform draws")
+        f"no adversarial point among {_MAX_INIT_TRIES} uniform draws")
 
 
 def bin_search(x_adv, original, oracle: MeteredOracle, tol: float,
@@ -455,7 +453,7 @@ def step_forward(x, estimate: GradientEstimate, step_size: float,
     """Move outward along the estimated normal to an adversarial candidate.
 
     Tries clip(x + step * direction) with the full step, halving the step
-    after every -1 answer, for at most ``config.max_step_retries``
+    after every -1 answer, for at most :data:`_MAX_STEP_RETRIES` (30)
     halvings. ``x`` may be a bare point or a :class:`BoundaryPoint`.
 
     Returns
@@ -473,13 +471,13 @@ def step_forward(x, estimate: GradientEstimate, step_size: float,
     if not step_size > 0.0:
         raise ValueError("step_size must be positive")
     step = float(step_size)
-    for retries in range(config.max_step_retries + 1):
+    for retries in range(_MAX_STEP_RETRIES + 1):
         cand = clip(x + step * estimate.direction, config.clip_low, config.clip_high)
         if oracle.decide(cand, PHASE_STEP) == 1:
             return cand, retries
         step *= 0.5
     raise StepFailedError(
-        f"candidate stayed non-adversarial through {config.max_step_retries} halvings")
+        f"candidate stayed non-adversarial through {_MAX_STEP_RETRIES} halvings")
 
 
 def _run_buffers(config: AttackConfig, dim: int):
@@ -577,7 +575,7 @@ def run_attack(oracle, original, config: AttackConfig):
                         t=t, n_samples=n_t, probe_step=probe_step,
                         step_size=step_size, queries=ledger.total_queries,
                         distortion=dist_to(prev), agree_count=est.agree_count,
-                        step_retries=config.max_step_retries, bisect_steps=0))
+                        step_retries=_MAX_STEP_RETRIES, bisect_steps=0))
                     if consecutive_failures >= 2:
                         break
                     continue

@@ -127,8 +127,7 @@ POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file"
                    [VECTOR.read(line) for line in text.splitlines() if line.strip()]),
                    lambda v: "\n    ".join(VECTOR.write(row) for row in v))}
 ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
-               "max_queries": _INT, "max_init_tries": _INT,
-               "max_step_retries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
+               "max_queries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
 
 
 @dataclass(eq=False)
@@ -535,25 +534,30 @@ def load_points_file(path, dim: int | None = None) -> np.ndarray:
     return np.vstack(points)
 
 
+# Uniform draws per generated original before generate_points gives up.
+_MAX_POINT_TRIES = 1000
+
+
 def generate_points(count: int, dim: int, seed: int, lo: float = 0.0,
-                    hi: float = 1.0, accept=None, max_tries: int = 1000) -> np.ndarray:
+                    hi: float = 1.0, accept=None) -> np.ndarray:
     """Draw original points uniformly in the clip box, deterministically.
 
     ``accept`` (point -> bool), when given, rejection-samples each point —
     used to guarantee originals the oracles answer -1 on. Raises
-    :class:`ConfigError` if a point survives ``max_tries`` rejections.
+    :class:`ConfigError` if a point survives :data:`_MAX_POINT_TRIES` (1000)
+    rejections.
     """
     rng = np.random.default_rng(substream_seed(seed, NS_POINTS))
     out = np.empty((count, dim), dtype=np.float64)
     for i in range(count):
-        for _ in range(max_tries):
+        for _ in range(_MAX_POINT_TRIES):
             cand = lo + (hi - lo) * rng.random(dim)
             if accept is None or accept(cand):
                 out[i] = cand
                 break
         else:
             raise ConfigError(
-                f"could not generate an acceptable original point in {max_tries} tries")
+                f"could not generate an acceptable original point in {_MAX_POINT_TRIES} tries")
     return out
 
 

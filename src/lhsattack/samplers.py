@@ -12,8 +12,7 @@ A batch of ``_SPLIT_ELEMENTS`` or more elements, when two CPUs are usable,
 is worked by the calling thread and a module-level worker thread together:
 - the uniforms are drawn in contiguous row blocks, each from a copy of the
   batch's PCG64 stream advanced to the block's offset, and the exact zeros
-  are then re-drawn from the stream's end in :func:`lhsattack.rng.open_unit`'s
-  order;
+  are then re-drawn from the stream's end in :func:`open_unit`'s order;
 - the LHS ranks, the ``(stratum + jitter) / n`` step and the LHS quantile
   run over chunks of contiguous columns;
 - the SRS quantile runs over the row blocks.
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .rng import open_unit as _open_unit_whole, redraw_zeros
 
 __all__ = [
     "LHS",
@@ -267,17 +265,22 @@ def _generator_at(state: dict, offset: int) -> np.random.Generator:
 
 
 def open_unit(rng: np.random.Generator, shape, out=None) -> np.ndarray:
-    """:func:`lhsattack.rng.open_unit` of a PCG64 generator, bit for bit,
+    """Uniform draws strictly inside (0, 1) of shape ``(n_samples, dim)``,
     into ``out`` (a C-contiguous float64 array of ``shape``) if given.
 
-    For a ``(n_samples, dim)`` batch that :func:`_splits`, each row block
-    is drawn from a copy of ``rng``'s stream advanced by the block's
-    offset, and looked over for exact zeros. ``rng`` is then advanced past
-    the whole array, where the one stream's draws for the zeros start.
+    ``Generator.random`` covers [0, 1); exact zeros (probability 2^-53 per
+    cell) are re-drawn by :func:`redraw_zeros`, so the quantile transform
+    stays finite. ``out`` receives the same bits a new array would.
+
+    For a batch that :func:`_splits`, each row block is drawn from a copy
+    of ``rng``'s PCG64 stream advanced by the block's offset, and looked
+    over for exact zeros. ``rng`` is then advanced past the whole array,
+    where the one stream's draws for the zeros start, so the bits are
+    those of one ``rng.random`` call.
     """
     n_samples, dim = shape
     if not _splits(n_samples, dim):
-        return _open_unit_whole(rng, shape, out)
+        return redraw_zeros(rng, rng.random(shape, out=out))
     u = np.empty(shape) if out is None else out
     bits = rng.bit_generator
     state = bits.state
@@ -292,6 +295,18 @@ def open_unit(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     _by_rows(work, n_samples, dim)
     bits.advance(n_samples * dim)
     return redraw_zeros(rng, u) if zeros else u
+
+
+def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """Re-draw the exact zeros of ``u`` in place, in C order, and return it.
+
+    Each round draws one value per zero left from ``rng``.
+    """
+    # ``random`` returns no negative value or NaN, so this is ``u.all()``.
+    while u.size and not u.min() > 0.0:
+        mask = u == 0.0
+        u[mask] = rng.random(int(mask.sum()))
+    return u
 
 
 class _Buffers:

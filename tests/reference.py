@@ -79,6 +79,149 @@ def ref_lhs_normal(n_samples, dim, seed):
     return ndtri((strata + jitter) / n_samples), strata
 
 
+def ref_substream_seed(base_seed, *path):
+    """64-bit seed of the SeedSequence child of ``base_seed`` at ``path``."""
+    ss = np.random.SeedSequence(int(base_seed), spawn_key=tuple(int(p) for p in path))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+# Search caps of the walk: uniform start draws, and halvings of a rejected step.
+REF_INIT_TRIES = 1000
+REF_STEP_RETRIES = 30
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+class _RunFailed(Exception):
+    def __init__(self, status, error):
+        super().__init__(error)
+        self.status, self.error = status, error
+
+
+def ref_run_attack(oracle, original, config):
+    """The whole boundary walk, one oracle query at a time, on new arrays.
+
+    Reads ``config``'s fields (``init_target_image`` aside) and calls only
+    ``oracle.dim`` and ``oracle._decide``, charging each query to its phase
+    after checking the cap. Probe batches are drawn by
+    :func:`ref_lhs_normal` or as ``ndtri`` of :func:`ref_open_unit`, from
+    the gradient stream (namespace 1) of iteration ``t`` and its child
+    ``attempt``; init draws come from namespace 0. Returns
+    ``(best_point, rows, status, error, ledger)``: the rows are tuples in
+    trace-row field order (t, probe count, probe radius, step size,
+    cumulative queries, distortion, +1 answers, step halvings, bisection
+    steps), and the ledger maps each phase to its query count.
+    """
+    dim = oracle.dim
+    original = np.asarray(original, dtype=np.float64)
+    lo, hi = config.clip_low, config.clip_high
+    tol = config.bisect_tol if config.bisect_tol is not None else float(dim) ** -1.5
+    ledger = {"init": 0, "binsearch": 0, "gradient": 0, "step": 0}
+
+    def decide(x, phase):
+        if config.max_queries is not None and sum(ledger.values()) >= config.max_queries:
+            raise _BudgetSpent
+        ledger[phase] += 1
+        return oracle._decide(x)
+
+    def dist(x):
+        return float(np.linalg.norm(x - original))
+
+    def project(x_adv):
+        # The bracket [a, b] of the blend weight keeps ``a`` adversarial;
+        # every halving costs one query, until it is no wider than tol.
+        a, b, steps = 0.0, 1.0, 0
+        while b - a > tol:
+            mid = (a + b) / 2.0
+            if decide(np.clip(mid * original + (1.0 - mid) * x_adv, lo, hi),
+                      "binsearch") == 1:
+                a = mid
+            else:
+                b = mid
+            steps += 1
+        return np.clip(a * original + (1.0 - a) * x_adv, lo, hi), steps
+
+    def estimate(x, n, radius, t):
+        for attempt in (0, 1):
+            seed = ref_substream_seed(ref_substream_seed(config.seed, 1, t), attempt)
+            if config.sampler_kind == "lhs":
+                noise = ref_lhs_normal(n, dim, seed)[0]
+            else:
+                noise = ndtri(ref_open_unit(np.random.default_rng(seed), (n, dim)))
+            norms = np.linalg.norm(noise, axis=1, keepdims=True)
+            if (norms == 0.0).any():
+                continue
+            unit = noise / norms
+            probes = np.clip(radius * unit + x, lo, hi)
+            answers = np.array([decide(p, "gradient") for p in probes], dtype=np.float64)
+            mean = (answers @ unit) / n
+            length = np.linalg.norm(mean)
+            if length == 0.0:
+                continue
+            return mean / length, int((answers > 0.0).sum())
+        raise _RunFailed("oracle_failed",
+                         "signed-probe average vanished twice; boundary locally symmetric")
+
+    rows, best = [], None
+    status, error = "completed", None
+    try:
+        rng = np.random.default_rng(ref_substream_seed(config.seed, 0))
+        for _ in range(REF_INIT_TRIES):
+            start = lo + (hi - lo) * rng.random(dim)
+            if decide(start, "init") == 1:
+                break
+        else:
+            raise _RunFailed("init_failed",
+                             f"no adversarial point among {REF_INIT_TRIES} uniform draws")
+        best = (dist(start), start)
+        point, steps = project(start)
+        rows.append((0, 0, 0.0, 0.0, sum(ledger.values()), dist(point), 0, 0, steps))
+        best = min(best, (dist(point), point), key=lambda b: b[0])
+        best_projected = (dist(point), point)
+        failures = 0
+        for t in range(1, config.iterations + 1):
+            d = dist(point)
+            if d == 0.0:
+                break
+            n = int(math.floor(config.initial_samples * float(t) ** 0.2 + 1e-9))
+            radius, size = d / dim, d / math.sqrt(t)
+            direction, agree = estimate(point, n, radius, t)
+            step = size
+            for halvings in range(REF_STEP_RETRIES + 1):
+                cand = np.clip(point + step * direction, lo, hi)
+                if decide(cand, "step") == 1:
+                    break
+                step /= 2.0
+            else:
+                failures += 1
+                rows.append((t, n, radius, size, sum(ledger.values()), d, agree,
+                             REF_STEP_RETRIES, 0))
+                if failures == 2:
+                    break
+                continue
+            failures = 0
+            best = min(best, (dist(cand), cand), key=lambda b: b[0])
+            point, steps = project(cand)
+            rows.append((t, n, radius, size, sum(ledger.values()), dist(point), agree,
+                         halvings, steps))
+            best = min(best, (dist(point), point), key=lambda b: b[0])
+            best_projected = min(best_projected, (dist(point), point), key=lambda b: b[0])
+        best = best_projected
+    except _RunFailed as exc:
+        status, error = exc.status, exc.error
+    except _BudgetSpent:
+        if best is None:
+            status = "init_failed"
+            error = "query budget exhausted before an adversarial point was found"
+        else:
+            status = "budget_exhausted"
+            rows.append((rows[-1][0] + 1 if rows else 0, 0, 0.0, 0.0,
+                         sum(ledger.values()), best[0], 0, 0, 0))
+    return (None if best is None else best[1]), rows, status, error, ledger
+
+
 def ref_ks_statistic(values) -> float:
     """Two-sided Kolmogorov-Smirnov distance to the standard normal."""
     v = np.sort(np.asarray(values, dtype=np.float64))

@@ -191,10 +191,9 @@ def test_init_always_negative_exhausts_exactly_max_tries():
     w[0] = 1.0
     oracle = MeteredOracle(HalfspaceOracle(w, offset=-10.0))  # never satisfied
     rng = np.random.default_rng(1)
-    cfg = default_config(max_init_tries=37)
-    with pytest.raises(InitFailedError):
-        initialize_adversarial(oracle, np.full(4, 0.5), cfg, rng)
-    assert oracle.ledger.snapshot()["init"] == 37
+    with pytest.raises(InitFailedError, match="no adversarial point among 1000 uniform"):
+        initialize_adversarial(oracle, np.full(4, 0.5), default_config(), rng)
+    assert oracle.ledger.snapshot()["init"] == attack._MAX_INIT_TRIES == 1000
 
 
 def test_init_targeted_uses_one_query():
@@ -634,12 +633,13 @@ def test_step_forward_halves_through_a_ball():
 
 
 def test_step_forward_exhausts_retries():
+    # from the ball's center every halved step stays inside it
     oracle = MeteredOracle(HypersphereOracle(np.array([0.5, 0.5]), radius=0.2))
-    x = np.array([0.29, 0.5])
-    cfg = default_config(max_step_retries=3)
-    with pytest.raises(StepFailedError):
-        step_forward(x, fixed_direction([1.0, 0.0]), 0.32, oracle, cfg)
-    assert oracle.ledger.snapshot()["step"] == 4  # first try + 3 halvings
+    x = np.array([0.5, 0.5])
+    with pytest.raises(StepFailedError, match="through 30 halvings"):
+        step_forward(x, fixed_direction([1.0, 0.0]), 0.1, oracle, default_config())
+    # first try + 30 halvings
+    assert oracle.ledger.snapshot()["step"] == attack._MAX_STEP_RETRIES + 1 == 31
 
 
 def test_step_forward_clips_to_box_corner():
@@ -766,20 +766,19 @@ def test_run_attack_init_failure_carries_partial_trace():
     w = np.zeros(6)
     w[0] = 1.0
     oracle = HalfspaceOracle(w, offset=-10.0)  # nothing in the box satisfies it
-    cfg = AttackConfig(max_init_tries=25, seed=0)
-    best, trace = run_attack(oracle, np.full(6, 0.5), cfg)
+    best, trace = run_attack(oracle, np.full(6, 0.5), AttackConfig(seed=0))
     assert best is None
     assert trace.status == INIT_FAILED
-    assert trace.error == "no adversarial point among 25 uniform draws"
+    assert trace.error == "no adversarial point among 1000 uniform draws"
     assert trace.rows == []
-    assert trace.ledger.snapshot()["init"] == 25
+    assert trace.ledger.snapshot()["init"] == 1000
 
 
 def test_run_attack_budget_exhausted_during_init_is_init_failure():
     w = np.zeros(6)
     w[0] = 1.0
     oracle = HalfspaceOracle(w, offset=-10.0)
-    cfg = AttackConfig(max_init_tries=1000, max_queries=5, seed=0)
+    cfg = AttackConfig(max_queries=5, seed=0)
     best, trace = run_attack(oracle, np.full(6, 0.5), cfg)
     assert best is None
     assert trace.status == INIT_FAILED
@@ -810,21 +809,21 @@ def test_run_attack_starts_from_target_image():
 
 def test_run_attack_two_consecutive_step_failures_end_the_walk():
     # scripted answers: init succeeds, the projection stays put, then two
-    # iterations of (2 gradient probes, 2 step candidates all negative)
-    answers = [1,          # init draw
-               -1,         # single bisection probe (tol 0.5)
-               1, -1,      # gradient batch, t=1
-               -1, -1,     # step candidates, t=1 -> failure
-               1, -1,      # gradient batch, t=2
-               -1, -1]     # step candidates, t=2 -> second failure
+    # iterations of (2 gradient probes, 31 step candidates all negative)
+    failed_step = [-1] * 31    # the full step and 30 halvings
+    answers = [1,              # init draw
+               -1,             # single bisection probe (tol 0.5)
+               1, -1,          # gradient batch, t=1
+               *failed_step,   # t=1 -> failure
+               1, -1,          # gradient batch, t=2
+               *failed_step]   # t=2 -> second failure
     oracle = ScriptedOracle(3, answers)
-    cfg = AttackConfig(initial_samples=2, iterations=5, bisect_tol=0.5,
-                       max_step_retries=1, max_init_tries=1, seed=0)
+    cfg = AttackConfig(initial_samples=2, iterations=5, bisect_tol=0.5, seed=0)
     point, trace = run_attack(oracle, np.full(3, 0.5), cfg)
     assert trace.status == COMPLETED
     assert [r.t for r in trace.rows] == [0, 1, 2]
     for row in trace.rows[1:]:
-        assert row.step_retries == cfg.max_step_retries
+        assert row.step_retries == 30
         assert row.bisect_steps == 0
         assert row.distortion == trace.rows[0].distortion
     assert trace.ledger.total_queries == len(answers)
@@ -834,8 +833,7 @@ def test_run_attack_two_consecutive_step_failures_end_the_walk():
 def test_run_attack_oracle_failure_attaches_partial_trace():
     planted = OracleFailedError("pipe snapped")
     oracle = ScriptedOracle(3, [1], exhausted_error=planted)
-    cfg = AttackConfig(max_init_tries=1, seed=0)
-    best, trace = run_attack(oracle, np.full(3, 0.5), cfg)
+    best, trace = run_attack(oracle, np.full(3, 0.5), AttackConfig(seed=0))
     assert trace.status == ORACLE_FAILED
     assert trace.error == "pipe snapped"
     assert trace.rows == []
@@ -981,10 +979,6 @@ def test_attack_config_validation():
         AttackConfig(max_queries=0)
     with pytest.raises(ValueError):
         AttackConfig(sampler_kind="sobol")
-    with pytest.raises(ValueError):
-        AttackConfig(max_init_tries=0)
-    with pytest.raises(ValueError):
-        AttackConfig(max_step_retries=-1)
     with pytest.raises(ValueError):
         AttackConfig(clip_low=1.0, clip_high=0.0)
 

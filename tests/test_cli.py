@@ -300,8 +300,6 @@ def test_attack_generated_original_is_not_adversarial(tmp_path, capsys, monkeypa
 TUNING_FLAGS = [("--initial-samples", "7", "initial_samples", 7),
                 ("--iterations", "3", "iterations", 3),
                 ("--bisect-tol", "0.01", "bisect_tol", 0.01),
-                ("--max-init-tries", "40", "max_init_tries", 40),
-                ("--max-step-retries", "5", "max_step_retries", 5),
                 ("--clip-low", "-0.5", "clip_low", -0.5),
                 ("--clip-high", "2", "clip_high", 2.0)]
 
@@ -335,13 +333,13 @@ def test_attack_flags_set_attack_config_fields(tmp_path, capsys, monkeypatch, fl
 
 
 def test_attack_starts_from_the_target_image(tmp_path, capsys):
-    # Uniform draws almost never land in x0 > 0.99, so one draw would fail
-    # to start; the image is adversarial and starts the run in one query.
+    # Uniform draws land in x0 > 0.99 one time in a hundred; the image is
+    # adversarial and starts the run in one query.
     start = tmp_path / "start.txt"
     start.write_text("1 0.5 0.5\n")
     out = tmp_path / "t.csv"
     rc = main(["attack", "--oracle", "halfspace:w=1;0;0,b=-0.99", "--point", "0.5 0.5 0.5",
-               "--target-image", str(start), "--max-init-tries", "1", "--seed", "1",
+               "--target-image", str(start), "--seed", "1",
                "--budget", "300", "--iterations", "3", "--initial-samples", "6",
                "--out", str(out)])
     assert rc == 0
@@ -363,6 +361,15 @@ def test_attack_has_no_targeting_flags(tmp_path, capsys, flags):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-init-tries", "--max-step-retries"])
+def test_attack_has_no_search_cap_flags(tmp_path, capsys, flag):
+    rc = main(["attack", "--oracle", "hypersphere:r=0.2,m=3", "--point", "0.5 0.5 0.5",
+               flag, "5", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -743,7 +750,7 @@ def test_oracle_serve_reads_mlp_weights_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags, error", [
-    (["--max-init-tries", "5"], "no adversarial point among 5 uniform draws"),
+    ([], "no adversarial point among 1000 uniform draws"),
     (["--budget", "3"], "query budget exhausted before an adversarial point was found"),
 ])
 def test_attack_failed_run_still_writes_its_trace(tmp_path, capsys, flags, error):

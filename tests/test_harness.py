@@ -98,8 +98,6 @@ initial_samples = 24
 iterations = 12
 bisect_tol = 0.001
 max_queries = 4000
-max_init_tries = 50
-max_step_retries = 7
 clip_low = -1
 clip_high = 2
 """
@@ -128,7 +126,6 @@ def test_parse_full_config_fields(tmp_path):
     a = config.attack
     assert (a.initial_samples, a.iterations) == (24, 12)
     assert a.bisect_tol == 0.001 and a.max_queries == 4000
-    assert (a.max_init_tries, a.max_step_retries) == (50, 7)
     assert (a.clip_low, a.clip_high) == (-1.0, 2.0)
 
 
@@ -494,6 +491,13 @@ def test_parse_rejects_an_attack_mode(tmp_path, value):
                          r"\[attack\] unknown key 'mode'")
 
 
+@pytest.mark.parametrize("key", ["max_init_tries", "max_step_retries"])
+def test_parse_rejects_a_search_cap(tmp_path, key):
+    # The caps are fixed in attack.py; [attack] has no key for them.
+    _expect_config_error(tmp_path, MINIMAL_TAIL + f"\n[attack]\n{key} = 5\n",
+                         rf"\[attack\] unknown key '{key}'")
+
+
 def test_parse_rejects_duplicate_oracle_names(tmp_path):
     text = "[oracle a]\nkind = hypersphere\nradius = 0.5\n" \
            "[oracle a ]\nkind = hypersphere\nradius = 0.25\n" \
@@ -731,8 +735,10 @@ def test_generate_points_rejection_sampling_honors_predicate():
 
 
 def test_generate_points_gives_up_on_impossible_predicate():
-    with pytest.raises(ConfigError, match=r"could not generate"):
-        generate_points(1, 3, seed=0, accept=lambda p: False, max_tries=5)
+    calls = []
+    with pytest.raises(ConfigError, match=r"could not generate .* in 1000 tries"):
+        generate_points(1, 3, seed=0, accept=lambda p: calls.append(p) and False)
+    assert len(calls) == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from scipy.special import ndtri
 
 from lhsattack import samplers
 from lhsattack.errors import DegenerateSampleError
-from lhsattack.rng import open_unit
 from lhsattack.samplers import (
     LHS,
     SRS,
@@ -23,6 +22,7 @@ from lhsattack.samplers import (
     lhs_normal,
     normal_cdf,
     normalize_rows,
+    open_unit,
     srs_normal,
 )
 

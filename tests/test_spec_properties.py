@@ -65,8 +65,6 @@ ATTACK_VALUES = {
     "iterations": st.integers(1, 100),
     "bisect_tol": st.floats(min_value=2.0 ** -53, max_value=1.0, exclude_max=True),
     "max_queries": st.integers(1, 10**9),
-    "max_init_tries": st.integers(1, 5000),
-    "max_step_retries": st.integers(0, 100),
     "clip_low": st.floats(-10, 0),
     "clip_high": st.floats(1e-6, 10),
 }
