@@ -31,10 +31,9 @@ from .oracles import (
     QueryLedger,
 )
 from .rng import NS_GRADIENT, NS_INIT, substream_seed
-from .samplers import LHS, SRS, _buffer_scope, _by_rows, _scoped, lhs_normal, srs_normal
-# Not called here (_unit_probes normalizes), but perfbench's tracer wraps
-# attack.normalize_rows by name.
-from .samplers import normalize_rows
+# normalize_rows is not called here (samplers.unit_probes normalizes), but
+# perfbench's tracer wraps attack.normalize_rows by name.
+from .samplers import LHS, SRS, _buffer_scope, lhs_normal, normalize_rows, srs_normal, unit_probes
 
 __all__ = [
     "COMPLETED",
@@ -236,17 +235,13 @@ class AttackTrace:
         return self.rows[-1].distortion if self.rows else None
 
 
-def clip(x, lo: float = 0.0, hi: float = 1.0, out=None) -> np.ndarray:
-    """Coordinatewise clamp of ``x`` into [lo, hi]. Idempotent.
-
-    ``out``, a float64 array of ``x``'s shape (``x`` itself included),
-    receives the result instead of a new array.
-    """
+def clip(x, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Coordinatewise clamp of ``x`` into [lo, hi], in a new array. Idempotent."""
     if not lo < hi:
         raise ValueError("clip range must satisfy lo < hi")
     # The method skips np.clip's dispatch; np.minimum/np.maximum would not
     # do, as they turn -0.0 into +0.0 and np.clip keeps it.
-    return np.asarray(x, dtype=np.float64).clip(lo, hi, out=out)
+    return np.asarray(x, dtype=np.float64).clip(lo, hi)
 
 
 def _norm(v) -> float:
@@ -375,14 +370,11 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     zero), the batch is re-drawn once from a child stream of ``seed``;
     a second failure raises :class:`EstimateDegenerateError`.
 
-    The rows are normalized and turned into probes in place by
-    :func:`_unit_probes`, one row block per sampler thread for a large
-    batch, with the bits of :func:`~lhsattack.samplers.normalize_rows`
-    followed by the probe arithmetic.
-
-    Inside :func:`run_attack` (or a ``run_experiment`` grid) the rows and
-    the probes are views of the run's buffers, which the run's next batch
-    overwrites; called outside a run, every batch gets new arrays.
+    :func:`~lhsattack.samplers.unit_probes` normalizes the rows in place
+    and builds the probes. Inside :func:`run_attack` (or a
+    ``run_experiment`` grid) the rows and the probes are views of the run's
+    buffers, which the run's next batch overwrites; called outside a run,
+    every batch gets new arrays.
     """
     x = np.asarray(getattr(x, "point", x), dtype=np.float64)
     if x.shape != (oracle.dim,):
@@ -399,7 +391,7 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
     for attempt in (0, 1):
         batch = sampler(n_samples, oracle.dim, substream_seed(seed, attempt))
         try:
-            probes = _unit_probes(batch.rows, x, probe_step, clip_low, clip_high)
+            probes = unit_probes(batch.rows, x, probe_step, clip_low, clip_high)
         except DegenerateSampleError:
             continue
         decisions = oracle.decide_batch(probes, PHASE_GRADIENT).astype(np.float64)
@@ -411,41 +403,6 @@ def estimate_gradient(oracle: MeteredOracle, x, n_samples: int, probe_step: floa
                                 agree_count=int((decisions > 0.0).sum()))
     raise EstimateDegenerateError(
         "signed-probe average vanished twice; boundary locally symmetric")
-
-
-def _unit_probes(rows, x, probe_step: float, clip_low: float, clip_high: float):
-    """Scale ``rows`` to unit length in place; return clip(probe_step * row + x).
-
-    The same bits as :func:`normalize_rows` followed by
-    ``clip(probe_step * rows + x)``: a row's norm is the square root of
-    ``add.reduce`` over the row's squares, as in ``np.linalg.norm``. Every
-    step runs on one row block at a time (all the rows at once for a batch
-    below the split), with the block's probes as scratch space for the
-    squares. The probes go to the scratch buffer of the thread's buffer
-    scope when the batch fits it, else to a new array.
-
-    Raises
-    ------
-    DegenerateSampleError
-        If any row is the zero vector.
-    """
-    probes = _scoped("scratch", *rows.shape)
-    if probes is None:
-        probes = np.empty_like(rows)
-
-    def work(a, b):
-        block, out = rows[a:b], probes[a:b]
-        np.multiply(block, block, out=out)
-        norms = np.sqrt(np.add.reduce(out, axis=1, keepdims=True))
-        if (norms == 0.0).any():
-            raise DegenerateSampleError("zero row cannot be normalized")
-        block /= norms
-        np.multiply(block, probe_step, out=out)
-        out += x
-        clip(out, clip_low, clip_high, out=out)
-
-    _by_rows(work, *rows.shape)
-    return probes
 
 
 def step_forward(x, estimate: GradientEstimate, step_size: float,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
+import shlex
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -93,6 +94,15 @@ def _join(values) -> str:
     return " ".join(str(v) for v in values)
 
 
+def _runnable(cmd: str) -> bool:
+    """Whether ``cmd`` splits, as ``ExternalOracle`` splits it, into a
+    non-empty argument list that holds no NUL byte."""
+    try:
+        return "\0" not in cmd and bool(shlex.split(cmd))
+    except ValueError:   # an unclosed quote or a trailing backslash
+        return False
+
+
 # A row of a key table: reads a value from text and writes it back. Oracle
 # rows also check a value (``valid``) and say what a valid one is
 # (``means``); the other sections leave that to their dataclasses.
@@ -105,6 +115,8 @@ FINITE = _Key(float, _fmt, np.isfinite, "finite")
 POSITIVE = _Key(float, _fmt, lambda v: np.isfinite(v) and v > 0.0, "positive and finite")
 TIMEOUT = _Key(float, _fmt, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
                f"positive and finite, at most {int(MAX_TIMEOUT_S)} s")
+COMMAND = _Key(str, str, _runnable,
+               "a command line that shlex can split, with no NUL byte")
 # Reads the INI form (space-separated); the CLI grammar brings its own reader.
 VECTOR = _Key(_float_list, lambda v: " ".join(_fmt(x) for x in v),
               lambda v: v.ndim == 1 and v.size > 0 and np.isfinite(v).all(),
@@ -118,7 +130,7 @@ EXPERIMENT_KEYS = {"name": _TEXT, "repetitions": _INT, "base_seed": _INT, "outpu
                    "statistics": _WORDS}
 # Every OracleSpecConfig field after ``kind``; SPEC_KEYS adds the aliases.
 ORACLE_KEYS = {"radius": POSITIVE, "normal": VECTOR, "offset": FINITE, "weights": _TEXT,
-               "cmd": _TEXT, "timeout": TIMEOUT, "target_class": INDEX, "dim": SIZE,
+               "cmd": COMMAND, "timeout": TIMEOUT, "target_class": INDEX, "dim": SIZE,
                "center": VECTOR, "original_class": INDEX}
 SPEC_KEYS = {**{key: key for key in ORACLE_KEYS}, "r": "radius", "w": "normal",
              "b": "offset", "target": "target_class", "m": "dim", "class": "original_class"}

@@ -15,7 +15,8 @@ is worked by the calling thread and a module-level worker thread together:
   are then re-drawn from the stream's end in :func:`open_unit`'s order;
 - the LHS ranks, the ``(stratum + jitter) / n`` step and the LHS quantile
   run over chunks of contiguous columns;
-- the SRS quantile runs over the row blocks.
+- the SRS quantile runs over the row blocks, and so does the probe pass,
+  :func:`unit_probes`, which normalizes the rows and builds the probes.
 Every value is computed by the same elementwise, per-row or per-column
 operation whichever thread does it, and written in place into an array the
 caller allocated, so the batch is bit-identical to a one-thread draw.
@@ -24,11 +25,11 @@ thread alone, in one call per step.
 
 Every batch of an attack run reuses one set of arrays: ``run_attack`` and
 ``run_experiment`` enter a per-thread scope (:func:`_buffer_scope`) holding
-buffers for the run's largest batch, and a batch drawn inside it is a view
-of them, overwritten by the next batch. So the batches of a run at
-d = 3072 map no fresh pages for their multi-megabyte arrays, and their bits
-are those of new arrays. :func:`lhs_normal` and :func:`srs_normal` called
-outside a run, or for a batch the scope does not hold, return new arrays.
+buffers for the run's largest batch, and a batch or its probes made inside
+it are views of them, overwritten by the next batch. So the batches of a
+run at d = 3072 map no fresh pages for their multi-megabyte arrays, and
+their bits are those of new arrays. Outside a run, or for a batch the scope
+does not hold, the samplers and :func:`unit_probes` return new arrays.
 
 ``scipy.special`` is imported by the first call that needs ``ndtri`` or
 ``ndtr``, on the calling thread, so importing the package (and serving an
@@ -55,6 +56,7 @@ __all__ = [
     "lhs_normal",
     "srs_normal",
     "normalize_rows",
+    "unit_probes",
     "batch_discrepancy",
 ]
 
@@ -311,8 +313,9 @@ def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
 
 class _Buffers:
     """Flat arrays of ``rows * dim`` elements for every batch of a scope:
-    ``values`` (float64) for the rows, ``strata`` (int64) for the LHS
-    ranks and ``scratch`` (float64) for the LHS base, then the probes."""
+    ``values`` (float64) for the rows, ``strata`` (int64) for the LHS ranks
+    and ``scratch`` (float64) for the LHS base, which :func:`unit_probes`
+    overwrites with the probes once the ranks are taken."""
 
     def __init__(self, rows: int, dim: int):
         self.rows, self.dim = rows, dim
@@ -382,8 +385,6 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
         raise ValueError("n_samples and dim must be positive")
     _load_special()
     rng = np.random.default_rng(seed)
-    # The base is needed only for the ranks, so it goes to the scratch
-    # buffer, which then takes the batch's probes.
     base = open_unit(rng, (n_samples, dim), _scoped("scratch", n_samples, dim))
     q = open_unit(rng, (n_samples, dim), _scoped("values", n_samples, dim))
     strata = _scoped("strata", n_samples, dim)
@@ -438,8 +439,19 @@ def srs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     return SampleBatch(rows=rows, sampler_kind=SRS, seed=int(seed))
 
 
+def _normalize_in_place(rows, squares) -> None:
+    """Scale the rows to unit length in place, or raise DegenerateSampleError
+    on a zero row. ``squares`` takes the squares, whose ``add.reduce`` and
+    ``sqrt`` give a row's length with the bits of ``np.linalg.norm``."""
+    np.multiply(rows, rows, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
+    if (norms == 0.0).any():
+        raise DegenerateSampleError("zero row cannot be normalized")
+    rows /= norms
+
+
 def normalize_rows(batch: SampleBatch) -> SampleBatch:
-    """Scale every row to unit Euclidean length.
+    """Scale every row to unit Euclidean length, in a new array.
 
     Stratum bookkeeping is preserved. Idempotent to within 1e-12.
 
@@ -449,11 +461,37 @@ def normalize_rows(batch: SampleBatch) -> SampleBatch:
         If any row is the zero vector (measure zero for continuous draws;
         the caller re-draws the batch).
     """
-    norms = np.linalg.norm(batch.rows, axis=1, keepdims=True)
-    if (norms == 0.0).any():
-        raise DegenerateSampleError("zero row cannot be normalized")
-    return SampleBatch(rows=batch.rows / norms, sampler_kind=batch.sampler_kind,
+    rows = np.array(batch.rows, dtype=np.float64)
+    _normalize_in_place(rows, np.empty_like(rows))
+    return SampleBatch(rows=rows, sampler_kind=batch.sampler_kind,
                        seed=batch.seed, stratum_index=batch.stratum_index)
+
+
+def unit_probes(rows, x, probe_step: float, lo: float, hi: float) -> np.ndarray:
+    """Scale ``rows`` to unit length in place, with the bits of
+    :func:`normalize_rows`; return clip(probe_step * row + x) into [lo, hi].
+
+    It runs on one row block at a time (all the rows for a batch below the
+    split), the block's probes holding the squares. The probes go to the
+    scratch buffer of the thread's buffer scope when the batch fits, else
+    to a new array. Raises ``ValueError`` unless ``lo < hi``, and
+    :class:`DegenerateSampleError` on a zero row.
+    """
+    if not lo < hi:
+        raise ValueError("clip range must satisfy lo < hi")
+    probes = _scoped("scratch", *rows.shape)
+    if probes is None:
+        probes = np.empty_like(rows)
+
+    def work(a, b):
+        block, out = rows[a:b], probes[a:b]
+        _normalize_in_place(block, out)
+        np.multiply(block, probe_step, out=out)
+        out += x
+        out.clip(lo, hi, out=out)
+
+    _by_rows(work, *rows.shape)
+    return probes
 
 
 def batch_discrepancy(batch: SampleBatch) -> float:

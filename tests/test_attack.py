@@ -97,8 +97,6 @@ def test_clip_equals_np_clip_bit_for_bit_signed_zeros_included():
     rows = np.random.default_rng(4).normal(size=(30, 7))
     want = np.clip(rows, 0.0, 1.0).tobytes()
     assert clip(rows).tobytes() == want
-    assert clip(rows, out=rows) is rows
-    assert rows.tobytes() == want
 
 
 def test_norm_equals_linalg_norm_bit_for_bit():
@@ -502,9 +500,10 @@ def large_batch_setup(dim, seed=0):
 
 
 def reference_probes(kind, shape, x, probe_step, seed, attempt=0):
-    """Unit rows by normalize_rows, then clip(probe_step * rows + x)."""
-    batch = normalize_rows(SAMPLER_FUNCTIONS[kind](*shape, substream_seed(seed, attempt)))
-    return batch.rows, clip(probe_step * batch.rows + x)
+    """Rows divided by their np.linalg.norm, then clip(probe_step * rows + x)."""
+    rows = SAMPLER_FUNCTIONS[kind](*shape, substream_seed(seed, attempt)).rows
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return unit, np.clip(probe_step * unit + x, 0.0, 1.0)
 
 
 # Below the split the same pass runs once, over all the rows.
@@ -562,20 +561,30 @@ def test_large_estimate_redraws_a_batch_with_a_zero_row(monkeypatch, kind, row):
 
 def test_large_estimate_worker_error_reaches_caller(monkeypatch):
     n, dim = SPLIT_SHAPES[2]
-    real_clip = attack.clip
+    real_normalize = samplers._normalize_in_place
 
-    def fails_off_main_thread(*args, **kwargs):
+    def fails_off_main_thread(*args):
         if threading.current_thread() is threading.main_thread():
             time.sleep(0.01)   # leave the other row block for the worker
         else:
             raise ValueError("raised on a worker thread")
-        return real_clip(*args, **kwargs)
+        return real_normalize(*args)
 
-    monkeypatch.setattr(attack, "clip", fails_off_main_thread)
+    monkeypatch.setattr(samplers, "_normalize_in_place", fails_off_main_thread)
     monkeypatch.setattr(samplers, "_THREADS", 2)   # a worker even on one CPU
     x, halfspace = large_batch_setup(dim)
     with pytest.raises(ValueError, match="raised on a worker thread"):
         estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, SRS, seed=0)
+    assert halfspace.batches == []
+
+
+@pytest.mark.parametrize("shape", [(16, 5), SPLIT_SHAPES[2]])
+def test_estimate_rejects_an_empty_clip_range_before_querying(shape):
+    n, dim = shape
+    x, halfspace = large_batch_setup(dim)
+    with pytest.raises(ValueError, match="lo < hi"):
+        estimate_gradient(MeteredOracle(halfspace), x, n, 0.05, SRS, seed=0,
+                          clip_low=0.5, clip_high=0.5)
     assert halfspace.batches == []
 
 

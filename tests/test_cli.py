@@ -155,6 +155,15 @@ def test_attack_point_file_uses_first_line(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ['python3 "serve.py', "python3 serve.py \\", "run\0me"])
+def test_attack_rejects_an_external_cmd_that_cannot_run(tmp_path, capsys, cmd):
+    rc = main(["attack", "--oracle", f"external:m=3,cmd={cmd}", "--point", "0.5 0.5 0.5",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "oracle 'external': cmd must be a command line" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_attack_rejects_adversarial_original(tmp_path, capsys):
     rc = main(["attack", "--oracle", "halfspace:w=1;0;0,b=-0.4",
                "--point", "0.5 0.5 0.5", "--out", str(tmp_path / "t.csv")])

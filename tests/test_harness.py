@@ -518,6 +518,9 @@ def test_parse_rejects_duplicate_oracle_names(tmp_path):
     ("kind = external\n", r"needs a command"),
     ("kind = hypersphere\nradius = inf\n", r"radius must be positive and finite"),
     ("kind = halfspace\nnormal = 1 0\noffset = nan\n", r"offset must be finite"),
+    ("kind = external\ncmd = python3 \"serve.py\n", r"oracle 'x': cmd must be a command line"),
+    ("kind = external\ncmd = run-me \\\n", r"oracle 'x': cmd must be a command line"),
+    ("kind = external\ncmd = run\0me\n", r"oracle 'x': cmd must be .* no NUL byte"),
     ("kind = external\ncmd = run-me\ntimeout = 0\n", r"timeout must be positive"),
     ("kind = external\ncmd = run-me\ntimeout = -1\n", r"timeout must be positive"),
     ("kind = external\ncmd = run-me\ntimeout = nan\n", r"timeout must be positive and finite"),

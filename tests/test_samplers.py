@@ -543,6 +543,17 @@ def test_normalize_unit_norms_and_idempotence():
     assert unit.sampler_kind == batch.sampler_kind and unit.seed == batch.seed
 
 
+@pytest.mark.parametrize("shape", [(16, 5), SPLIT_SHAPES[2]])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_normalize_matches_linalg_norm_bit_for_bit(monkeypatch, shape, threads):
+    monkeypatch.setattr(samplers, "_THREADS", threads)
+    batch = srs_normal(*shape, seed=8)
+    before = batch.rows.copy()
+    want = before / np.linalg.norm(before, axis=1, keepdims=True)
+    assert normalize_rows(batch).rows.tobytes() == want.tobytes()
+    assert batch.rows.tobytes() == before.tobytes()
+
+
 def test_normalize_zero_row_rejected():
     rows = np.array([[1.0, 2.0], [0.0, 0.0]])
     batch = SampleBatch(rows=rows, sampler_kind=SRS, seed=0)

@@ -13,7 +13,9 @@ import pytest
 
 from lhsattack import samplers
 from lhsattack.attack import AttackConfig, run_attack, schedule_samples
+from lhsattack.harness import ExperimentConfig, OracleSpecConfig, PointsConfig, run_experiment
 from lhsattack.oracles import HalfspaceOracle, HypersphereOracle, MlpOracle, load_mlp
+from lhsattack.rng import NS_RUN, substream_seed
 
 from reference import ref_run_attack
 
@@ -87,3 +89,33 @@ def test_run_attack_matches_the_whole_run_reference(
                 assert (trace.status, trace.error) == (status, error), where
                 assert trace.ledger.snapshot() == ledger, where
                 assert got_point.tobytes() == point.tobytes(), where
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_experiment_grid_matches_the_whole_run_reference(tmp_path, monkeypatch, threads):
+    # Four runs (two repetitions x both samplers) share the grid's buffer
+    # scope, and at d = 700 every batch is split when two threads are used.
+    monkeypatch.setattr(samplers, "_THREADS", threads)
+    oracle, original = offset_sphere(700)
+    attack = AttackConfig(initial_samples=100, iterations=3)
+    first = ref_run_attack(oracle, original, dataclasses.replace(
+        attack, seed=substream_seed(7, NS_RUN, 0, 0, 0)))[1]
+    budget = first[1][4] + first[2][1] // 2
+    config = ExperimentConfig(
+        oracles=[OracleSpecConfig(name="ball", kind="hypersphere", radius=0.45,
+                                  center=oracle.original)],
+        points=PointsConfig(source="inline", values=[original]),
+        attack=attack, budgets=[budget], repetitions=2, base_seed=7)
+    result = run_experiment(config, output_dir=str(tmp_path))
+    assert len(result.traces) == 4
+    for (_, sampler, pi, rep), trace in result.traces.items():
+        seed = substream_seed(7, NS_RUN, 0, pi, rep)
+        _, rows, status, error, ledger = ref_run_attack(oracle, original, dataclasses.replace(
+            attack, sampler_kind=sampler, seed=seed, max_queries=budget))
+        # The cap falls inside iteration 2's probe batch.
+        assert status == "budget_exhausted"
+        assert 100 < ledger["gradient"] < 100 + schedule_samples(1, 100)
+        where = (sampler, rep)
+        assert as_bits(dataclasses.astuple(r) for r in trace.rows) == as_bits(rows), where
+        assert (trace.status, trace.error) == (status, error), where
+        assert trace.ledger.snapshot() == ledger, where
