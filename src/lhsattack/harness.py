@@ -60,7 +60,12 @@ __all__ = [
 TRACE_HEADER = "t,M_t,delta_t,epsilon_t,queries,distortion,agree_count,step_retries,binsearch_steps"
 SUMMARY_HEADER = "oracle,sampler,budget,statistic,distortion,repetitions"
 
-ORACLE_KINDS = ("halfspace", "hypersphere", "mlp", "external")
+# The OracleSpecConfig fields build_oracle reads for each kind, besides
+# ``dim``, which every kind takes because it settles the input width.
+KIND_KEYS = {"halfspace": ("normal", "offset"), "hypersphere": ("radius", "center"),
+             "mlp": ("weights", "original_class", "target_class"),
+             "external": ("cmd", "timeout")}
+ORACLE_KINDS = tuple(KIND_KEYS)
 POINT_SOURCES = ("generate", "inline", "file")
 STATISTICS = ("mean", "median")
 
@@ -204,10 +209,17 @@ class OracleSpecConfig:
 
     @classmethod
     def from_text(cls, name: str, kind: str, items, vector) -> "OracleSpecConfig":
-        """Build a spec from known ``(key, text)`` pairs; ``vector`` parses vectors."""
+        """Build a spec from known ``(key, text)`` pairs; ``vector`` parses vectors.
+
+        A key that ``kind`` does not read is an error, not ignored.
+        """
         kwargs, spelled = {}, {}
         for key, text in items:
             field_name = SPEC_KEYS[key]
+            if kind in KIND_KEYS and field_name not in ("dim", *KIND_KEYS[kind]):
+                raise ConfigError(
+                    f"oracle {name!r}: kind {kind!r} does not read {key!r}; "
+                    f"its keys are {', '.join(('dim', *KIND_KEYS[kind]))}")
             if field_name in spelled:
                 raise ConfigError(f"oracle {name!r}: {field_name} given more than once "
                                   f"(as {spelled[field_name]!r} and {key!r})")

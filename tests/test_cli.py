@@ -105,6 +105,12 @@ def test_spec_external_cmd_consumes_rest_verbatim():
     ("hypersphere:r=0.5,m=0", r"dim must be an integer >= 1"),
     ("mlp:weights=w.txt,class=-1", r"original_class must be an integer >= 0"),
     ("mlp:weights=w.txt,target=-2", r"target_class must be an integer >= 0"),
+    ("hypersphere:r=0.5,m=3,weights=nofile.txt,timeout=3,cmd=run-me",
+     r"kind 'hypersphere' does not read 'weights'; its keys are dim, radius, center"),
+    ("mlp:weights=tests/fixtures/mlp_8x8_2class.txt,class=0,timeout=3",
+     r"kind 'mlp' does not read 'timeout'"),
+    ("halfspace:w=1;0,b=0,center=0.5;0.5", r"kind 'halfspace' does not read 'center'"),
+    ("external:m=2,r=0.5,cmd=run-me", r"kind 'external' does not read 'r'"),
 ])
 def test_spec_rejections(text, match):
     with pytest.raises(ConfigError, match=match):

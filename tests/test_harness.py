@@ -17,6 +17,7 @@ from lhsattack.errors import ConfigError
 from lhsattack.harness import (
     ATTACK_KEYS,
     EXPERIMENT_KEYS,
+    KIND_KEYS,
     ORACLE_KEYS,
     POINTS_KEYS,
     SPEC_KEYS,
@@ -384,6 +385,40 @@ def test_parse_rejects_unknown_experiment_key(tmp_path):
 def test_parse_rejects_unknown_oracle_key(tmp_path):
     text = MINIMAL_TAIL.replace("radius = 0.5", "radius = 0.5\nshape = round")
     _expect_config_error(tmp_path, text, r"unknown key 'shape'")
+
+
+@pytest.mark.parametrize("line,key,kind", [
+    ("weights = nofile.txt", "weights", "hypersphere"),
+    ("timeout = 3", "timeout", "hypersphere"),
+    ("cmd = run-me", "cmd", "hypersphere"),
+    ("b = 0.5", "b", "hypersphere"),
+])
+def test_parse_rejects_an_oracle_key_its_kind_does_not_read(tmp_path, line, key, kind):
+    text = MINIMAL_TAIL.replace("radius = 0.5", f"radius = 0.5\ndim = 2\n{line}")
+    _expect_config_error(tmp_path, text,
+                         rf"\[oracle ball\] oracle 'ball': kind '{kind}' does not read '{key}'")
+
+
+def test_kind_keys_are_what_build_oracle_reads(mlp_fixture_path):
+    # Without an original point, build_oracle reads only what the kind needs.
+    read = set()
+
+    class Recording(OracleSpecConfig):
+        def __getattribute__(self, attr):
+            if attr in ORACLE_KEYS:
+                read.add(attr)
+            return super().__getattribute__(attr)
+
+    specs = {"halfspace": dict(normal=np.array([1.0, 0.0]), offset=0.0),
+             "hypersphere": dict(radius=0.5, center=np.array([0.1, 0.2])),
+             "mlp": dict(weights=mlp_fixture_path, original_class=0),
+             "external": dict(cmd="run-me", dim=2)}
+    assert set(specs) == set(KIND_KEYS)
+    for kind, fields in specs.items():
+        spec = Recording(name="o", kind=kind, **fields)
+        read.clear()
+        build_oracle(spec)
+        assert read - {"dim"} == set(KIND_KEYS[kind]), kind
 
 
 def test_parse_rejects_unknown_points_key(tmp_path):

@@ -1,12 +1,14 @@
 """Property tests: both ends of the line protocol against line-by-line references.
 
-The engine formats each request chunk with one %-format call and the
-server parses each read with one numpy conversion; both must give the
-bytes and errors of handling one line at a time.
+The engine encodes each request chunk at once, with numpy or with one
+%-format call, and the server parses each read with one numpy conversion;
+both must give the bytes and errors of handling one line at a time.
 """
 
+import importlib.util
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from lhsattack.errors import ProtocolError
 from lhsattack.oracles import (
     _CHUNK_ROWS,
+    _ENCODE_MIN_ROWS,
     ExternalOracle,
     HalfspaceOracle,
+    _encode_rows,
     format_floats,
     serve_oracle,
 )
@@ -169,3 +173,50 @@ def test_one_row_request_is_the_format_floats_line(dim):
     chunks, answer = recorded_requests(x, one_row=True)
     assert chunks == [(format_floats(x[0]) + "\n").encode("ascii")]
     assert answer == 1
+
+
+def tie(x, c):
+    """An exact tie at the 17th digit: an odd ``c / 2**(17 - x)`` near 10**x."""
+    return (2 * (c // 2) + 1) / 2.0 ** (17 - x)
+
+
+# Weighted to the values the encoder writes with numpy, 1e-4 <= |v| < 1e15
+# and +-0, and to its edges: ties, where rounding half to even decides the
+# 17th digit, and the neighbours of each power of ten, where the exponent
+# from log10 can be one off.
+fast_value = st.one_of(
+    st.floats(0.0, 1.0),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-0.2, 0.2)).map(
+        lambda p: min(max(p[0] + p[1], 0.0), 1.0)),
+    st.integers(13107, 131071).map(lambda c: (2 * c + 1) / 2**18),
+    st.integers(-4, 14).flatmap(lambda x: st.integers(
+        math.ceil(10.0**x * 2.0**(17 - x)), math.floor(10.0**(x + 1) * 2.0**(17 - x)) - 1)
+        .map(lambda c: tie(x, c))),
+    st.integers(-4, 15).flatmap(lambda k: st.sampled_from(
+        [float(np.nextafter(10.0**k, 0.0)), 10.0**k, float(np.nextafter(10.0**k, np.inf))])),
+    st.floats(1e-4, 1e15, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 1.0]))
+encoder_value = st.one_of(
+    fast_value, fast_value, fast_value, fast_value.map(lambda v: -v),
+    st.sampled_from([5e-324, 3e-5, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12),
+       st.sampled_from([1, _ENCODE_MIN_ROWS - 1, _ENCODE_MIN_ROWS, _CHUNK_ROWS]),
+       st.data())
+def test_encoder_writes_each_row_as_format_floats(dim, rows, data):
+    values = data.draw(st.lists(encoder_value, min_size=rows * dim, max_size=rows * dim))
+    X = np.array(values, dtype=np.float64).reshape(rows, dim)
+    assert _encode_rows(X) == "".join(format_floats(x) + "\n" for x in X).encode("ascii")
+
+
+def test_encoder_matches_format_floats_on_a_seeded_sweep():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "check_wire_encoder.py")
+    spec = importlib.util.spec_from_file_location("check_wire_encoder", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    values = tool.sweep_values(10**6, seed=23)
+    assert len(values) >= 10**6
+    assert tool.first_mismatch(values) is None
