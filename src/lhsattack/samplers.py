@@ -8,6 +8,16 @@ per equal-mass stratum and dimension). Paired LHS/SRS experiments therefore
 differ only by the stratification, which is what makes the ablations in this
 package sharp.
 
+The LHS strata are the ranks of the base uniforms within each column, equal
+to ``argsort(argsort(base, axis=0), axis=0)`` ties included. They come from
+one sort per column (:func:`_column_ranks`): non-negative finite doubles
+order like their bit patterns, so each value's low ``b`` mantissa bits are
+overwritten with its row index and the keys are sorted. A column where two
+values may tie once truncated (about ``n**2 * 2**(b - 53)`` for uniforms),
+or where a value is not finite or not above the tiniest subnormals, is
+ranked by argsort instead. The base uniforms lie in (0, 1), so only such
+near-ties take that path.
+
 A batch of ``_SPLIT_ELEMENTS`` or more elements, when two CPUs are usable,
 is worked by the calling thread and a module-level worker thread together:
 - the uniforms are drawn in contiguous row blocks, each from a copy of the
@@ -410,15 +420,53 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
 
 def _column_ranks(base, out=None):
     """Rank of every entry within its column, equal to
-    ``argsort(argsort(base, axis=0), axis=0)`` ties included.
+    ``argsort(argsort(base, axis=0), axis=0)`` ties included, into ``out``
+    if given (any layout; a column-contiguous one is written directly).
 
-    One argsort of the contiguous transpose orders each column; scattering
-    ``arange`` through that order inverts it, into ``out`` if given.
+    One sort ranks the columns. Non-negative finite doubles order like
+    their bit patterns, so the keys are the contiguous transpose of
+    ``base`` with the low ``b = (n - 1).bit_length()`` mantissa bits of
+    each value overwritten by its row index. Sorted as doubles, each
+    column's keys give its order in their low bits, and ``arange(n)``
+    scattered through that order inverts it.
+
+    A column is ranked by one argsort of its values instead when two of
+    its sorted keys lie less than ``2**b`` apart (two values may tie once
+    truncated: about ``n**2 * 2**(b - 53)`` for a column of uniforms), or
+    when a value is not finite or is below ``2**b`` times the smallest
+    subnormal (zeros, negatives, nan and inf); both are read off the sorted
+    keys. So every rank is the double argsort's on any CPU, whatever order
+    its argsort gives ties.
     """
-    order = np.ascontiguousarray(base.T).argsort(axis=1)
+    n, d = base.shape
+    b = (n - 1).bit_length()
+    low = np.uint64((1 << b) - 1)
+    keys = base.T.copy()
+    bits = keys.view(np.uint64)
+    bits &= ~low
+    bits |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    smallest = np.array(1 << b, dtype=np.uint64).view(np.float64)
+    slow = ~((keys[:, 0] >= smallest) & (keys[:, -1] < np.inf))
+    # One contiguous pass finds any close pair, also across two columns;
+    # the per-column pass runs only then.
+    flat, apart = bits.reshape(-1), low + np.uint64(1)
+    if np.subtract(flat[1:], flat[:-1]).min(initial=apart) <= low:
+        slow |= np.subtract(bits[:, 1:], bits[:, :-1]).min(axis=1, initial=apart) <= low
+    # The flat index of each key's entry in the column-major ranks.
+    bits &= low
+    bits += np.arange(0, d * n, n, dtype=np.uint64)[:, None]
+    index = bits.view(np.int64)
+    cols = np.flatnonzero(slow)
+    if cols.size:
+        index[cols] = np.argsort(base.T[cols], axis=1) + n * cols[:, None]
+    direct = out is not None and out.T.flags.c_contiguous
+    ranks = out.T if direct else np.empty((d, n), dtype=np.int64)
+    ranks.reshape(-1)[index.reshape(-1)] = np.tile(np.arange(n), d)
     if out is None:
-        out = np.empty_like(order).T
-    np.put_along_axis(out.T, order, np.arange(base.shape[0]), axis=1)
+        return ranks.T
+    if not direct:
+        out[...] = ranks.T
     return out
 
 

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from lhsattack import samplers
@@ -181,6 +182,152 @@ def test_lhs_column_ranks_break_ties_like_double_argsort():
         base = rng.integers(0, 3, size=(n, d)) / 4.0 + 0.125   # many ties
         want = np.argsort(np.argsort(base, axis=0), axis=0)
         assert np.array_equal(samplers._column_ranks(base), want)
+
+
+# _column_ranks sorts keys whose low b = (n - 1).bit_length() mantissa bits
+# hold the row index, and ranks a column by argsort when two of its values
+# may tie once truncated, or when a value is not finite and positive.
+ROW_FIELD_EDGES = [1, 2, 3, 127, 128, 129, 256, 257]
+
+
+def assert_ranks_like_double_argsort(base):
+    kept = base.copy()
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    got = samplers._column_ranks(base)
+    assert got.dtype == want.dtype and got.flags.f_contiguous
+    assert np.array_equal(got, want)
+    assert base.tobytes() == kept.tobytes()
+
+
+def plant_pair(column, i, j, gap, offset):
+    """Give rows i and j of a column two values ``gap`` units in the last
+    place apart, the lower one, at row i, ``offset`` units above a multiple
+    of ``2**b``."""
+    b = (len(column) - 1).bit_length()
+    low = (int(column.view(np.uint64)[i]) >> b << b) + offset
+    column.view(np.uint64)[[i, j]] = [low, low + gap]
+
+
+@pytest.mark.parametrize("n", ROW_FIELD_EDGES)
+def test_column_ranks_of_uniforms_at_the_row_field_edges(n):
+    assert_ranks_like_double_argsort(np.random.default_rng(n).random((n, 9)))
+
+
+@pytest.mark.parametrize("n", ROW_FIELD_EDGES[1:])
+def test_column_ranks_with_planted_ties_and_near_ties(n):
+    # The higher value at row 0 and the lower at row n - 1 tie once
+    # truncated when they share the high bits, and their keys then order
+    # them the wrong way; at n = 2**b their keys lie exactly 2**b - 1 apart.
+    b = (n - 1).bit_length()
+    plants = [(i, j, gap, offset)
+              for gap in (0, 1, 2**b - 1, 2**b, 2**b + 1)
+              for offset in (0, 1, 2**b - 1)
+              for i, j in ((n - 1, 0), (0, n - 1))]
+    base = np.random.default_rng(n).random((n, len(plants)))
+    for column, plant in zip(base.T, plants):
+        plant_pair(column, *plant)
+    assert_ranks_like_double_argsort(base)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -0.25, -1e300, 5e-324, np.nan, np.inf,
+                                   -np.inf])
+@pytest.mark.parametrize("n", [1, 2, 9, 129])
+def test_column_ranks_of_zeros_negatives_and_non_finite(value, n):
+    base = np.random.default_rng(n).random((n, 4))
+    base[0, 0] = value
+    base[n - 1, 1] = value
+    base[::2, 2] = value
+    base[:, 3] = -base[:, 3]
+    assert_ranks_like_double_argsort(base)
+
+
+@st.composite
+def rank_batches(draw):
+    """Uniform columns, some with a planted pair at a truncation edge, a few
+    exact ties, or a few values of any kind (zeros, negatives, subnormals,
+    nan, inf)."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((n, d))
+    b = (n - 1).bit_length()
+    rows = st.integers(0, n - 1)
+    for column in base.T:
+        kind = draw(st.sampled_from(["uniform", "pair", "ties", "any"]))
+        if kind == "pair" and n > 1:
+            i, j = draw(st.lists(rows, min_size=2, max_size=2, unique=True))
+            gap = draw(st.sampled_from([0, 1, 2**b - 1, 2**b, 2**b + 1]))
+            plant_pair(column, i, j, gap, draw(st.integers(0, 2**b - 1)))
+        elif kind == "ties":
+            column[:] = rng.integers(0, 3, n) / 4.0 + 0.125
+        elif kind == "any":
+            for _ in range(draw(st.integers(1, 3))):
+                column[draw(rows)] = draw(st.floats())
+    return base
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_batches())
+def test_column_ranks_equal_double_argsort(base):
+    assert_ranks_like_double_argsort(base)
+
+
+def test_column_ranks_into_every_out_layout():
+    n, d = 130, 300
+    base = np.random.default_rng(4).random((n, d))
+    base[:, 7] = 0.5                       # one column through argsort
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    chunks = [(0, 252), (252, 300)]
+    with samplers._buffer_scope(n + 3, d):
+        strata = samplers._scoped("strata", n, d)
+        assert strata.flags.f_contiguous
+        assert samplers._column_ranks(base, out=strata) is strata
+        assert np.array_equal(strata, want)
+        strata[...] = -1
+        for a, b in chunks:
+            samplers._column_ranks(base[:, a:b], out=strata[:, a:b])
+        assert np.array_equal(strata, want)
+    c_order = np.full((n, d), -1, dtype=np.int64)
+    assert samplers._column_ranks(base, out=c_order) is c_order
+    assert np.array_equal(c_order, want)
+    c_order[...] = -1
+    for a, b in chunks:
+        samplers._column_ranks(base[:, a:b], out=c_order[:, a:b])
+    assert np.array_equal(c_order, want)
+
+
+def test_argsort_ranks_only_the_columns_that_need_it(monkeypatch):
+    n = 128
+    base = np.random.default_rng(6).random((n, 40))
+    plant_pair(base[:, 3], n - 1, 0, 2**7 - 1, 0)   # a truncation tie, keys 127 apart
+    plant_pair(base[:, 9], 5, 6, 0, 0)               # an exact tie
+    base[17, 11] = 0.0
+    base[2, 20] = -0.5
+    base[40, 31] = np.nan
+    base[0, 33] = np.inf
+    planted = [3, 9, 11, 20, 31, 33]
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    sorted_rows = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sorted_rows.append(np.array(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(samplers.np, "argsort", counting)
+    assert np.array_equal(samplers._column_ranks(base), want)
+    assert len(sorted_rows) == 1
+    assert sorted_rows[0].tobytes() == base.T[planted].tobytes()
+    sorted_rows.clear()
+    for shape in [(150, 64), (229, 64), (130, 252), SPLIT_SHAPES[2]]:
+        for seed in (1, 4242):
+            lhs_normal(*shape, seed=seed)
+    assert sorted_rows == []
+
+
+def test_column_ranks_match_double_argsort_on_a_seeded_sweep(load_tool):
+    tool = load_tool("check_column_ranks")
+    # Three hundred or more rounds of the sweep reach every n from 1 to 300.
+    assert tool.first_mismatch(100000, seed=24) is None
 
 
 @pytest.mark.parametrize("n", [2, 100, 150, 229])

@@ -91,6 +91,21 @@ def test_run_attack_matches_the_whole_run_reference(
                 assert got_point.tobytes() == point.tobytes(), where
 
 
+@pytest.mark.parametrize("sampler", ["lhs", "srs"])
+def test_a_run_in_a_scope_for_narrower_batches_matches_the_reference(sampler):
+    # A scope holds batches of its own width only. This one has rows to
+    # spare but one column, so the run must draw into buffers of its own.
+    oracle, original = halfspace3()
+    config = AttackConfig(initial_samples=20, iterations=10, sampler_kind=sampler, seed=3)
+    point, rows, status, error, ledger = ref_run_attack(oracle, original, config)
+    with samplers._buffer_scope(schedule_samples(9, 20) + 5, 1):
+        got_point, trace = run_attack(oracle, original, config)
+    assert as_bits(dataclasses.astuple(r) for r in trace.rows) == as_bits(rows)
+    assert (trace.status, trace.error) == (status, error)
+    assert trace.ledger.snapshot() == ledger
+    assert got_point.tobytes() == point.tobytes()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_experiment_grid_matches_the_whole_run_reference(tmp_path, monkeypatch, threads):
     # Four runs (two repetitions x both samplers) share the grid's buffer

@@ -5,10 +5,8 @@ The engine encodes each request chunk at once, with numpy or with one
 both must give the bytes and errors of handling one line at a time.
 """
 
-import importlib.util
 import io
 import math
-import os
 
 import numpy as np
 import pytest
@@ -212,11 +210,8 @@ def test_encoder_writes_each_row_as_format_floats(dim, rows, data):
     assert _encode_rows(X) == "".join(format_floats(x) + "\n" for x in X).encode("ascii")
 
 
-def test_encoder_matches_format_floats_on_a_seeded_sweep():
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", "check_wire_encoder.py")
-    spec = importlib.util.spec_from_file_location("check_wire_encoder", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+def test_encoder_matches_format_floats_on_a_seeded_sweep(load_tool):
+    tool = load_tool("check_wire_encoder")
     values = tool.sweep_values(10**6, seed=23)
     assert len(values) >= 10**6
     assert tool.first_mismatch(values) is None
