@@ -33,13 +33,15 @@ caller allocated, so the batch is bit-identical to a one-thread draw.
 Smaller batches, such as every probe batch at d = 64, run on the calling
 thread alone, in one call per step.
 
-Every batch of an attack run reuses one set of arrays: ``run_attack`` and
+Every batch of an attack run reuses two arrays: ``run_attack`` and
 ``run_experiment`` enter a per-thread scope (:func:`_buffer_scope`) holding
 buffers for the run's largest batch, and a batch or its probes made inside
 it are views of them, overwritten by the next batch. So the batches of a
 run at d = 3072 map no fresh pages for their multi-megabyte arrays, and
-their bits are those of new arrays. Outside a run, or for a batch the scope
-does not hold, the samplers and :func:`unit_probes` return new arrays.
+their bits are those of new arrays. The LHS ranks overwrite the spent
+base uniforms, which :func:`unit_probes` then overwrites with the probes.
+Outside a run, or for a batch the scope does not hold, they return new
+arrays.
 
 ``scipy.special`` is imported by the first call that needs ``ndtri`` or
 ``ndtr``, on the calling thread, so importing the package (and serving an
@@ -106,6 +108,7 @@ class SampleBatch:
         For LHS batches, ``stratum_index[i, j]`` is the equal-mass stratum
         (0 .. n_samples-1) that sample i occupies in dimension j; each
         stratum appears exactly once per dimension. ``None`` for SRS.
+        In a run's buffer scope, :func:`unit_probes` overwrites it.
     """
 
     rows: np.ndarray
@@ -271,7 +274,7 @@ def _share(work, length: int, step: int) -> None:
 
 def _generator_at(state: dict, offset: int) -> np.random.Generator:
     """A new generator at the PCG64 ``state`` moved on by ``offset`` draws."""
-    bits = np.random.PCG64()
+    bits = np.random.PCG64(0)   # seeded: no OS entropy for a spent state
     bits.state = state
     return np.random.Generator(bits.advance(offset))
 
@@ -322,15 +325,14 @@ def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """Flat arrays of ``rows * dim`` elements for every batch of a scope:
-    ``values`` (float64) for the rows, ``strata`` (int64) for the LHS ranks
-    and ``scratch`` (float64) for the LHS base, which :func:`unit_probes`
-    overwrites with the probes once the ranks are taken."""
+    """Flat float64 arrays of ``rows * dim`` elements for every batch of a
+    scope: ``values`` for the rows, and ``scratch`` for the LHS base, whose
+    ranks then overwrite it (read as int64) and which :func:`unit_probes`
+    overwrites with the probes."""
 
     def __init__(self, rows: int, dim: int):
         self.rows, self.dim = rows, dim
         self.values = np.empty(rows * dim)
-        self.strata = np.empty(rows * dim, dtype=np.int64)
         self.scratch = np.empty(rows * dim)
 
     def fits(self, n_samples: int, dim: int) -> bool:
@@ -362,15 +364,11 @@ def _buffer_scope(rows: int, dim: int):
 
 def _scoped(name: str, n_samples: int, dim: int):
     """Buffer ``name`` of the thread's scope shaped as an ``(n_samples, dim)``
-    batch (``strata`` column-contiguous), or None when no scope is entered
-    or the batch does not fit it."""
+    batch, or None when no scope is entered or the batch does not fit it."""
     buffers = getattr(_local, "buffers", None)
     if buffers is None or not buffers.fits(n_samples, dim):
         return None
-    flat = getattr(buffers, name)[:n_samples * dim]
-    if name == "strata":
-        return flat.reshape(dim, n_samples).T
-    return flat.reshape(n_samples, dim)
+    return getattr(buffers, name)[:n_samples * dim].reshape(n_samples, dim)
 
 
 def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
@@ -380,8 +378,9 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     strata; a uniform random permutation (the ranks of the base uniforms)
     assigns every sample to a distinct stratum per dimension, and the value
     is placed uniformly at random inside its stratum's probability mass.
-    Inside a run's buffer scope, ``rows`` and ``stratum_index`` are views
-    of the scope's buffers, which the run's next batch overwrites.
+    ``stratum_index`` is written over the base uniforms (read as int64).
+    Inside a run's buffer scope both are views of the scope's buffers, and
+    the batch's own :func:`unit_probes` overwrites ``stratum_index``.
 
     Parameters
     ----------
@@ -397,10 +396,7 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     base = open_unit(rng, (n_samples, dim), _scoped("scratch", n_samples, dim))
     q = open_unit(rng, (n_samples, dim), _scoped("values", n_samples, dim))
-    strata = _scoped("strata", n_samples, dim)
-    if strata is None:
-        # Column-major, so each column's ranks are written contiguously.
-        strata = np.empty((dim, n_samples), dtype=np.int64).T
+    strata = base.view(np.int64)
 
     def work(a, b):
         _column_ranks(base[:, a:b], out=strata[:, a:b])
@@ -421,7 +417,8 @@ def lhs_normal(n_samples: int, dim: int, seed: int) -> SampleBatch:
 def _column_ranks(base, out=None):
     """Rank of every entry within its column, equal to
     ``argsort(argsort(base, axis=0), axis=0)`` ties included, into ``out``
-    if given (any layout; a column-contiguous one is written directly).
+    if given. ``out`` may alias ``base``: every read of ``base`` is done
+    before ``out`` is written.
 
     One sort ranks the columns. Non-negative finite doubles order like
     their bit patterns, so the keys are the contiguous transpose of
@@ -460,13 +457,11 @@ def _column_ranks(base, out=None):
     cols = np.flatnonzero(slow)
     if cols.size:
         index[cols] = np.argsort(base.T[cols], axis=1) + n * cols[:, None]
-    direct = out is not None and out.T.flags.c_contiguous
-    ranks = out.T if direct else np.empty((d, n), dtype=np.int64)
+    ranks = np.empty((d, n), dtype=np.int64)
     ranks.reshape(-1)[index.reshape(-1)] = np.tile(np.arange(n), d)
     if out is None:
         return ranks.T
-    if not direct:
-        out[...] = ranks.T
+    out[...] = ranks.T
     return out
 
 

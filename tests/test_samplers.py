@@ -5,6 +5,7 @@ import select
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -190,6 +191,14 @@ def test_lhs_column_ranks_break_ties_like_double_argsort():
 ROW_FIELD_EDGES = [1, 2, 3, 127, 128, 129, 256, 257]
 
 
+def ranks_over_base(base):
+    """``_column_ranks(base, out=base.view(np.int64))``, as ``lhs_normal``
+    calls it: the ranks overwrite the values they rank."""
+    strata = base.view(np.int64)
+    assert samplers._column_ranks(base, out=strata) is strata
+    return strata
+
+
 def assert_ranks_like_double_argsort(base):
     kept = base.copy()
     want = np.argsort(np.argsort(base, axis=0), axis=0)
@@ -197,6 +206,7 @@ def assert_ranks_like_double_argsort(base):
     assert got.dtype == want.dtype and got.flags.f_contiguous
     assert np.array_equal(got, want)
     assert base.tobytes() == kept.tobytes()
+    assert np.array_equal(ranks_over_base(kept), want)
 
 
 def plant_pair(column, i, j, gap, offset):
@@ -278,21 +288,49 @@ def test_column_ranks_into_every_out_layout():
     want = np.argsort(np.argsort(base, axis=0), axis=0)
     chunks = [(0, 252), (252, 300)]
     with samplers._buffer_scope(n + 3, d):
-        strata = samplers._scoped("strata", n, d)
-        assert strata.flags.f_contiguous
-        assert samplers._column_ranks(base, out=strata) is strata
-        assert np.array_equal(strata, want)
-        strata[...] = -1
-        for a, b in chunks:
-            samplers._column_ranks(base[:, a:b], out=strata[:, a:b])
-        assert np.array_equal(strata, want)
-    c_order = np.full((n, d), -1, dtype=np.int64)
-    assert samplers._column_ranks(base, out=c_order) is c_order
-    assert np.array_equal(c_order, want)
-    c_order[...] = -1
-    for a, b in chunks:
-        samplers._column_ranks(base[:, a:b], out=c_order[:, a:b])
-    assert np.array_equal(c_order, want)
+        scoped = samplers._scoped("scratch", n, d).view(np.int64)
+        assert scoped.flags.c_contiguous
+        column_major = np.full((d, n), -1, dtype=np.int64).T
+        for out in (scoped, np.full((n, d), -1, dtype=np.int64), column_major):
+            assert samplers._column_ranks(base, out=out) is out
+            assert np.array_equal(out, want)
+            out[...] = -1
+            for a, b in chunks:
+                samplers._column_ranks(base[:, a:b], out=out[:, a:b])
+            assert np.array_equal(out, want)
+
+
+def test_column_ranks_written_over_their_base_in_column_chunks():
+    # The chunks of a d = 3072 batch: 130 x 252 strided views of the rows.
+    n, width = 130, 252
+    base = np.random.default_rng(3).random((n, 3 * width - 5))
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    for a in range(0, base.shape[1], width):
+        ranks_over_base(base[:, a:a + width])
+    assert np.array_equal(base.view(np.int64), want)
+
+
+def test_column_ranks_written_over_their_base_with_near_ties(monkeypatch):
+    # Keys order each planted pair the wrong way, so only the argsort
+    # fallback, reading the base before the ranks overwrite it, ranks them.
+    n, width = 130, 252
+    base = np.random.default_rng(8).random((n, 2 * width))
+    planted = list(range(5, 2 * width, 7))
+    for gap, column in enumerate(planted):
+        plant_pair(base[:, column], n - 1, 0, gap % 3, 255 - gap % 3)
+    want = np.argsort(np.argsort(base, axis=0), axis=0)
+    argsorted = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        argsorted.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(samplers.np, "argsort", counting)
+    for a in (0, width):
+        ranks_over_base(base[:, a:a + width])
+    assert sum(argsorted) == len(planted)
+    assert np.array_equal(base.view(np.int64), want)
 
 
 def test_argsort_ranks_only_the_columns_that_need_it(monkeypatch):
@@ -326,7 +364,8 @@ def test_argsort_ranks_only_the_columns_that_need_it(monkeypatch):
 
 def test_column_ranks_match_double_argsort_on_a_seeded_sweep(load_tool):
     tool = load_tool("check_column_ranks")
-    # Three hundred or more rounds of the sweep reach every n from 1 to 300.
+    # Three hundred or more rounds of the sweep reach every n from 1 to 300;
+    # each batch is ranked into a new array and written over its own base.
     assert tool.first_mismatch(100000, seed=24) is None
 
 
@@ -576,6 +615,26 @@ def test_split_chunk_error_reaches_caller(monkeypatch, sampler, column):
 
 
 @pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
+def test_row_block_generators_read_no_os_entropy(monkeypatch, sampler):
+    # An unseeded PCG64 reads os.urandom for a state that is then replaced.
+    shape = SPLIT_SHAPES[2]
+    want = sampler(*shape, seed=3).rows.tobytes()
+    pcg64, seeds = np.random.PCG64, []
+
+    def seeded_only(seed=None):
+        if seed is None:
+            raise AssertionError("PCG64 seeded from OS entropy")
+        seeds.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(samplers.np.random, "PCG64", seeded_only)
+    monkeypatch.setattr(samplers, "_THREADS", 2)   # row blocks even on one CPU
+    assert sampler(*shape, seed=3).rows.tobytes() == want
+    # One per row block of each uniform array: LHS draws two, SRS one.
+    assert len(seeds) == (4 if sampler is lhs_normal else 2)
+
+
+@pytest.mark.parametrize("sampler", [lhs_normal, srs_normal])
 def test_worker_thread_error_in_the_row_block_draw_reaches_caller(monkeypatch, sampler):
     generator_at = samplers._generator_at
 
@@ -759,7 +818,7 @@ def scope_buffers():
 
 def shares_any(arr, buffers):
     return any(np.shares_memory(arr, buf)
-               for buf in (buffers.values, buffers.strata, buffers.scratch))
+               for buf in (buffers.values, buffers.scratch))
 
 
 @pytest.mark.parametrize("shape", [(16, 5), (229, 64)] + SPLIT_SHAPES)
@@ -777,9 +836,70 @@ def test_batches_in_a_scope_equal_new_ones_bit_for_bit(shape, sampler):
                 if want.stratum_index is None:
                     assert got.stratum_index is None
                 else:
-                    assert np.shares_memory(got.stratum_index, buffers.strata)
+                    assert np.shares_memory(got.stratum_index, buffers.scratch)
+                    assert got.stratum_index.flags.c_contiguous
                     assert got.stratum_index.strides == want.stratum_index.strides
                     assert np.array_equal(got.stratum_index, want.stratum_index)
+
+
+def numpy_allocations():
+    """Sizes of the numpy data blocks traced since tracemalloc started."""
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sorted(trace.size for trace in
+                  tracemalloc.take_snapshot().filter_traces([numpy_data]).traces)
+
+
+def test_a_scope_allocates_two_batch_buffers():
+    n, d = 151, 3072
+    tracemalloc.start()
+    try:
+        with samplers._buffer_scope(n, d):
+            allocated = numpy_allocations()
+            buffers = scope_buffers()
+    finally:
+        tracemalloc.stop()
+    assert allocated == [n * d * 8] * 2
+    arrays = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
+    assert [(a.dtype, a.size) for a in arrays] == [(np.float64, n * d)] * 2
+
+
+def test_an_lhs_batch_and_its_probes_in_a_scope_take_under_a_buffer(monkeypatch):
+    n, d = 151, 3072
+    monkeypatch.setattr(samplers, "_THREADS", 2)   # column chunks even on one CPU
+    x = np.full(d, 0.5)
+
+    def draw():
+        batch = lhs_normal(n, d, seed=1)
+        samplers.unit_probes(batch.rows, x, 1e-3, 0.0, 1.0)
+
+    with samplers._buffer_scope(n, d):
+        draw()   # imports scipy and starts the pool thread
+        tracemalloc.start()
+        try:
+            draw()
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < n * d * 8
+    assert left < 64 * 1024
+
+
+@pytest.mark.parametrize("shape", [(16, 5), SPLIT_SHAPES[2]])
+def test_the_probes_overwrite_the_strata_only_in_a_scope(shape):
+    n, d = shape
+    _, want = ref_lhs_normal(n, d, 3)
+    x = np.full(d, 0.5)
+    batch = lhs_normal(n, d, seed=3)
+    probes = samplers.unit_probes(batch.rows, x, 1e-3, 0.0, 1.0)
+    assert not np.shares_memory(probes, batch.stratum_index)
+    assert np.array_equal(batch.stratum_index, want)
+    with samplers._buffer_scope(n, d):
+        got = lhs_normal(n, d, seed=3)
+        assert np.shares_memory(got.stratum_index, scope_buffers().scratch)
+        assert np.array_equal(got.stratum_index, want)
+        got_probes = samplers.unit_probes(got.rows, x, 1e-3, 0.0, 1.0)
+        assert got_probes.tobytes() == probes.tobytes()
+        assert got.stratum_index.tobytes() == probes.tobytes()
 
 
 def test_the_next_batch_in_a_scope_overwrites_the_last():

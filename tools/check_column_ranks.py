@@ -6,9 +6,11 @@ Ranks at least ``--columns`` columns with ``samplers._column_ranks`` and
 compares every rank with ``argsort(argsort(base, axis=0), axis=0)``. The
 batches (see :func:`batch`) cycle through uniform columns at every n from
 1 to 300, the 130 x 252 column chunk of a d = 3072 batch, and columns with
-a planted near-tie on the truncation boundary of the row field. Exits 0
-when every rank matches. At the first mismatch it prints the column's n,
-the seed, the batch and the column, and exits 1.
+a planted near-tie on the truncation boundary of the row field. Each batch
+is ranked twice: into a new array, and over a copy of itself read as int64,
+as ``lhs_normal`` ranks (see :func:`ranks_over_copy`). Exits 0 when every
+rank matches. At the first mismatch it prints the column's n, the seed,
+the batch, the column and the form, and exits 1.
 """
 import argparse
 import os
@@ -53,16 +55,30 @@ def batch(k: int, seed: int) -> np.ndarray:
     return base
 
 
+def ranks_over_copy(base: np.ndarray, k: int) -> np.ndarray:
+    """``_column_ranks(c, out=c.view(np.int64))`` for a copy ``c`` of
+    ``base``: the whole of a new array when ``k`` is even, else a column
+    chunk of one twice as wide, whose rows are strided."""
+    n, d = base.shape
+    wide = np.zeros((n, d * (1 + k % 2)))
+    copy = wide[:, wide.shape[1] - d:]
+    copy[...] = base
+    return _column_ranks(copy, out=copy.view(np.int64))
+
+
 def first_mismatch(columns: int, seed: int):
-    """``(n, batch, column)`` of the first column ranked unlike double
-    argsort within the first ``columns`` columns of the sweep, or None."""
+    """``(n, batch, column, form)`` of the first column ranked unlike double
+    argsort within the first ``columns`` columns of the sweep, or None.
+    ``form`` is ``"new"`` or ``"over base"``."""
     k = done = 0
     while done < columns:
         base = batch(k, seed)
         want = np.argsort(np.argsort(base, axis=0), axis=0)
-        wrong = np.flatnonzero((_column_ranks(base) != want).any(axis=0))
-        if wrong.size:
-            return base.shape[0], k, int(wrong[0])
+        for form, got in (("new", _column_ranks(base)),
+                          ("over base", ranks_over_copy(base, k))):
+            wrong = np.flatnonzero((got != want).any(axis=0))
+            if wrong.size:
+                return base.shape[0], k, int(wrong[0]), form
         k, done = k + 1, done + base.shape[1]
     return None
 
@@ -74,8 +90,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     bad = first_mismatch(args.columns, args.seed)
     if bad is not None:
-        n, k, j = bad
-        print(f"mismatch: n={n} seed={args.seed} batch={k} column={j}")
+        n, k, j, form = bad
+        print(f"mismatch: n={n} seed={args.seed} batch={k} column={j} ({form})")
         return 1
     print(f"at least {args.columns} columns ranked as double argsort ranks them")
     return 0
