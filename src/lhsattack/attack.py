@@ -491,32 +491,37 @@ def run_attack(oracle, original, config: AttackConfig):
     best_dist = math.inf
     best_point = None
 
-    def dist_to(p) -> float:
-        return _norm(p - original)
+    def record(t, distortion, n_samples=0, probe_step=0.0, step_size=0.0,
+               agree_count=0, step_retries=0, bisect_steps=0):
+        rows.append(TraceRow(t, n_samples, probe_step, step_size, ledger.total_queries,
+                             distortion, agree_count, step_retries, bisect_steps))
+
+    def reached(p) -> float:
+        """The distance of adversarial point ``p``, kept when it is the nearest yet."""
+        nonlocal best_dist, best_point
+        dist = _norm(p - original)
+        if dist < best_dist:
+            best_dist, best_point = dist, p
+        return dist
 
     status, error = COMPLETED, None
     try:
         init_rng = np.random.default_rng(substream_seed(config.seed, NS_INIT))
         init_point = initialize_adversarial(metered, original, config, init_rng)
-        best_dist, best_point = dist_to(init_point), init_point
-
+        reached(init_point)
         current = bin_search(init_point, original, metered, tol,
                              config.clip_low, config.clip_high)
-        d = dist_to(current.point)
-        rows.append(TraceRow(t=0, n_samples=0, probe_step=0.0, step_size=0.0,
-                             queries=ledger.total_queries, distortion=d,
-                             agree_count=0, step_retries=0,
-                             bisect_steps=current.steps))
+        d = reached(current.point)
+        record(0, d, bisect_steps=current.steps)
         best_proj_dist, best_proj = d, current
-        if d < best_dist:
-            best_dist, best_point = d, current.point
 
         with _run_buffers(config, dim):
             consecutive_failures = 0
             for t in range(1, config.iterations + 1):
-                prev = current.point
-                if dist_to(prev) == 0.0:
+                # d is the distance of current.point, the iterate.
+                if d == 0.0:
                     break
+                prev = current.point
                 n_t = schedule_samples(t - 1, config.initial_samples)
                 probe_step = schedule_probe_step(prev, original, dim)
                 step_size = schedule_step_size(t, prev, original)
@@ -528,28 +533,17 @@ def run_attack(oracle, original, config: AttackConfig):
                     cand, retries = step_forward(prev, est, step_size, metered, config)
                 except StepFailedError:
                     consecutive_failures += 1
-                    rows.append(TraceRow(
-                        t=t, n_samples=n_t, probe_step=probe_step,
-                        step_size=step_size, queries=ledger.total_queries,
-                        distortion=dist_to(prev), agree_count=est.agree_count,
-                        step_retries=_MAX_STEP_RETRIES, bisect_steps=0))
+                    record(t, d, n_t, probe_step, step_size, est.agree_count, _MAX_STEP_RETRIES)
                     if consecutive_failures >= 2:
                         break
                     continue
                 consecutive_failures = 0
-                cd = dist_to(cand)
-                if cd < best_dist:
-                    best_dist, best_point = cd, cand
+                reached(cand)
                 current = bin_search(cand, original, metered, tol,
                                      config.clip_low, config.clip_high)
-                d = dist_to(current.point)
-                rows.append(TraceRow(
-                    t=t, n_samples=n_t, probe_step=probe_step,
-                    step_size=step_size, queries=ledger.total_queries,
-                    distortion=d, agree_count=est.agree_count,
-                    step_retries=retries, bisect_steps=current.steps))
-                if d < best_dist:
-                    best_dist, best_point = d, current.point
+                d = reached(current.point)
+                record(t, d, n_t, probe_step, step_size, est.agree_count, retries,
+                       current.steps)
                 if d < best_proj_dist:
                     best_proj_dist, best_proj = d, current
         best_point = best_proj.point
@@ -561,11 +555,7 @@ def run_attack(oracle, original, config: AttackConfig):
             error = "query budget exhausted before an adversarial point was found"
         else:
             status = BUDGET_EXHAUSTED
-            rows.append(TraceRow(
-                t=rows[-1].t + 1 if rows else 0, n_samples=0, probe_step=0.0,
-                step_size=0.0, queries=ledger.total_queries,
-                distortion=best_dist, agree_count=0, step_retries=0,
-                bisect_steps=0))
+            record(rows[-1].t + 1 if rows else 0, best_dist)
     except (OracleFailedError, EstimateDegenerateError) as exc:
         status, error = ORACLE_FAILED, str(exc)
     return best_point, AttackTrace(rows=rows, status=status, ledger=ledger, error=error)

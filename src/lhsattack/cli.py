@@ -23,7 +23,8 @@ dimension. ``timeout`` (seconds, default 10) must be > 0 and at most
 ``oracles.MAX_TIMEOUT_S`` (9223372036 on Linux); ``r`` must be > 0, and
 every number must be finite.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure (out of
+memory included).
 """
 from __future__ import annotations
 
@@ -237,11 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_dim, help="input dimension when not implied")
     p.add_argument("--target-image",
                    help="float-line file whose first line is the adversarial start")
-    # The [attack] keys, --budget aside; a flag left out keeps AttackConfig's default.
+    # The [attack] keys; a flag left out keeps AttackConfig's default.
     for key, row in ATTACK_KEYS.items():
-        if key != "max_queries":
-            p.add_argument("--" + key.replace("_", "-"), type=row.read,
-                           default=argparse.SUPPRESS)
+        p.add_argument("--" + key.replace("_", "-"), type=row.read, default=argparse.SUPPRESS)
     p.add_argument("--out", default="trace.csv", help="trace CSV path")
     p.set_defaults(func=cmd_attack)
 
@@ -281,6 +280,9 @@ def main(argv=None) -> int:
         return 1
     except (LhsAttackError, OSError) as exc:
         _err(str(exc))
+        return 2
+    except MemoryError as exc:
+        _err(f"out of memory: {exc}")
         return 2
 
 

@@ -144,7 +144,7 @@ POINTS_KEYS = {"source": _TEXT, "count": _INT, "dim": _INT, "seed": _INT, "file"
                    [VECTOR.read(line) for line in text.splitlines() if line.strip()]),
                    lambda v: "\n    ".join(VECTOR.write(row) for row in v))}
 ATTACK_KEYS = {"initial_samples": _INT, "iterations": _INT, "bisect_tol": _FLOAT,
-               "max_queries": _INT, "clip_low": _FLOAT, "clip_high": _FLOAT}
+               "clip_low": _FLOAT, "clip_high": _FLOAT}
 
 
 @dataclass(eq=False)

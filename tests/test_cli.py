@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lhsattack.attack import AttackConfig, run_attack
+from lhsattack import samplers
 from lhsattack.cli import main, parse_oracle_spec
 from lhsattack.errors import ConfigError, OracleFailedError
 from lhsattack.oracles import (
@@ -612,6 +613,51 @@ def test_bench_bad_config(tmp_path, capsys):
     rc = main(["bench", str(cfg)])
     assert rc == 1
     assert "oracle" in capsys.readouterr().err
+
+
+BALL_ONLY = """\
+[experiment]
+budgets = 200
+""" + BALL + """
+[points]
+source = inline
+values = 0.5 0.5 0.5
+"""
+
+
+def test_bench_rejects_an_attack_max_queries_key(tmp_path, capsys):
+    # bench caps each run at its largest budget, so no [attack] key sets it.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BALL_ONLY + "\n[attack]\nmax_queries = 50\n")
+    rc = main(["bench", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "[attack] unknown key 'max_queries'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("attack", "_Buffers"),
+    ("bench", "_Buffers"),
+    ("sample", "open_unit"),
+])
+def test_out_of_memory_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, command, patched):
+    # The allocation raises as numpy does when it is refused; no test asks
+    # for a real oversized array, which overcommit may grant.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 53.5 TiB for an array")
+
+    monkeypatch.setattr(samplers, patched, refuse)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BALL_ONLY)
+    argv = {
+        "attack": ["attack", "--oracle", "hypersphere:r=0.3,m=64", "--iterations", "2",
+                   "--out", str(tmp_path / "t.csv")],
+        "bench": ["bench", str(cfg), "--output-dir", str(tmp_path / "out")],
+        "sample": ["sample", "--count", "100", "--dim", "100"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "lhsattack: out of memory: Unable to allocate 53.5 TiB for an array\n"
 
 
 # ---------------------------------------------------------------------------

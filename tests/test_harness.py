@@ -98,7 +98,6 @@ values =
 initial_samples = 24
 iterations = 12
 bisect_tol = 0.001
-max_queries = 4000
 clip_low = -1
 clip_high = 2
 """
@@ -126,7 +125,7 @@ def test_parse_full_config_fields(tmp_path):
     assert np.array_equal(config.points.values[1], [0.6, 0.5, 0.1])
     a = config.attack
     assert (a.initial_samples, a.iterations) == (24, 12)
-    assert a.bisect_tol == 0.001 and a.max_queries == 4000
+    assert a.bisect_tol == 0.001
     assert (a.clip_low, a.clip_high) == (-1.0, 2.0)
 
 
@@ -307,7 +306,8 @@ def test_key_tables_name_the_dataclass_fields():
     def names(cls, *left_out):
         return {f.name for f in dataclasses.fields(cls)} - set(left_out)
 
-    assert set(ATTACK_KEYS) == names(AttackConfig, "sampler_kind", "seed", "init_target_image")
+    assert set(ATTACK_KEYS) == names(AttackConfig, "max_queries", "sampler_kind", "seed",
+                                     "init_target_image")
     assert set(EXPERIMENT_KEYS) == names(ExperimentConfig, "oracles", "points", "attack")
     assert set(POINTS_KEYS) == names(PointsConfig)
     # Every OracleSpecConfig field after kind, in field order; the aliases

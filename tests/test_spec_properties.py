@@ -64,7 +64,6 @@ ATTACK_VALUES = {
     "initial_samples": st.integers(1, 500),
     "iterations": st.integers(1, 100),
     "bisect_tol": st.floats(min_value=2.0 ** -53, max_value=1.0, exclude_max=True),
-    "max_queries": st.integers(1, 10**9),
     "clip_low": st.floats(-10, 0),
     "clip_high": st.floats(1e-6, 10),
 }

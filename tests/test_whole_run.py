@@ -7,9 +7,11 @@ probe pass and the batched, metered queries change no bit of a trace.
 """
 
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lhsattack import samplers
 from lhsattack.attack import AttackConfig, run_attack, schedule_samples
@@ -134,3 +136,70 @@ def test_run_experiment_grid_matches_the_whole_run_reference(tmp_path, monkeypat
         assert as_bits(dataclasses.astuple(r) for r in trace.rows) == as_bits(rows), where
         assert (trace.status, trace.error) == (status, error), where
         assert trace.ledger.snapshot() == ledger, where
+
+
+# (case, width): the halfspace at d = 3, the offset sphere at widths whose
+# batches all stay below samplers._SPLIT_ELEMENTS (2 to 40) or all reach it
+# (700), and the fixture MLP.
+DRAWN_ORACLES = st.one_of(
+    st.just(("halfspace3", 3)),
+    st.tuples(st.just("sphere"), st.one_of(st.integers(2, 40), st.just(700))),
+    st.just(("mlp64", 64)))
+
+
+def drawn_case(case, dim, path):
+    """The oracle, the original, the grid's spec of the oracle, initial_samples
+    and iterations of a drawn case."""
+    if case == "sphere":
+        oracle, original = offset_sphere(dim)
+        spec = OracleSpecConfig(name="o", kind="hypersphere", radius=0.45,
+                                center=oracle.original)
+        return (oracle, original, spec) + CASES["sphere700" if dim == 700 else "sphere64"][1:]
+    oracle, original = CASES[case][0](path)
+    spec = (OracleSpecConfig(name="o", kind="mlp", weights=path) if case == "mlp64" else
+            OracleSpecConfig(name="o", kind="halfspace", normal=oracle.normal,
+                             offset=oracle.offset))
+    return (oracle, original, spec) + CASES[case][1:]
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_case=DRAWN_ORACLES, sampler=st.sampled_from(["lhs", "srs"]),
+       capped=st.booleans(), threads=st.sampled_from([1, 2]), in_grid=st.booleans(),
+       data=st.data())
+def test_drawn_whole_runs_match_the_reference(
+        mlp_fixture_path, oracle_case, sampler, capped, threads, in_grid, data):
+    oracle, original, spec, initial_samples, iterations = drawn_case(
+        *oracle_case, mlp_fixture_path)
+    # The seed of the second run of a two-repetition grid, alone or not.
+    config = AttackConfig(initial_samples=initial_samples, iterations=iterations,
+                          sampler_kind=sampler, seed=substream_seed(7, NS_RUN, 0, 0, 1))
+    want = ref_run_attack(oracle, original, config)
+    if capped:
+        # A cap inside iteration 2's probe batch.
+        rows = want[1]
+        assume(len(rows) >= 3)
+        config = dataclasses.replace(
+            config, max_queries=rows[1][4] + data.draw(st.integers(1, rows[2][1] - 1)))
+        want = ref_run_attack(oracle, original, config)
+        assert want[2] == "budget_exhausted"
+    want_point, want_rows, status, error, ledger = want
+
+    # hypothesis takes no function-scoped fixture such as monkeypatch.
+    threads_before = samplers._THREADS
+    samplers._THREADS = threads
+    try:
+        if in_grid:
+            grid = ExperimentConfig(
+                oracles=[spec], points=PointsConfig(source="inline", values=[original]),
+                attack=config, budgets=[config.max_queries or 10 ** 9], samplers=[sampler],
+                repetitions=2, base_seed=7)
+            with tempfile.TemporaryDirectory() as out:
+                trace = run_experiment(grid, output_dir=out).traces[("o", sampler, 0, 1)]
+        else:
+            point, trace = run_attack(oracle, original, config)
+            assert point.tobytes() == want_point.tobytes()
+    finally:
+        samplers._THREADS = threads_before
+    assert as_bits(dataclasses.astuple(r) for r in trace.rows) == as_bits(want_rows)
+    assert (trace.status, trace.error) == (status, error)
+    assert trace.ledger.snapshot() == ledger
